@@ -163,24 +163,10 @@ def cmd_verify(config: RunConfig) -> int:
 
     prod_err = 0.0
     for _ in range(20):
-        ga = semisep.SemiSepGenerators(
-            n=n,
-            a=rng.standard_normal((1, n)),
-            b=rng.standard_normal((1, n)),
-            c=rng.standard_normal(n),
-            d=rng.standard_normal((1, n)),
-            e=rng.standard_normal((1, n)),
-        )
-        gb = semisep.SemiSepGenerators(
-            n=n,
-            a=rng.standard_normal((1, n)),
-            b=rng.standard_normal((1, n)),
-            c=rng.standard_normal(n),
-            d=rng.standard_normal((1, n)),
-            e=rng.standard_normal((1, n)),
-        )
+        ga = _random_generators(n, 1, rng)
+        gb = _random_generators(n, 1, rng)
         dp = ga.to_dense() @ gb.to_dense()
-        err = np.abs(semisep.product_rank1(ga, gb).to_dense() - dp).max()
+        err = np.abs(semisep.product(ga, gb).to_dense() - dp).max()
         prod_err = max(prod_err, float(err / max(np.abs(dp).max(), 1e-30)))
     _check(report, "rank1_product_dense_agreement", prod_err, 1e-12)
 
@@ -328,30 +314,33 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, demo: bool = False) -> None:
+    def add_params(p: argparse.ArgumentParser) -> None:
         p.add_argument("--alpha", type=float, default=2.0)
         p.add_argument("--beta", type=float, default=2.0)
         p.add_argument("--n", type=int, default=32)
-        p.add_argument(
-            "--source",
-            choices=sorted(_SOURCE_MAP),
-            default="generators",
-        )
-        p.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
-        p.add_argument("--out", default=None)
-        p.add_argument("--dt", type=float, default=1e-2)
-        p.add_argument("--steps", type=int, default=100)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--assert-linear", action="store_true")
-        if demo:
-            p.add_argument("problem", choices=("diffusion", "advection"))
 
-    common(sub.add_parser("gen", help="write a matrix or generator artifact"))
+    def add_source(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--source", choices=sorted(_SOURCE_MAP), default="generators")
+
+    pg = sub.add_parser("gen", help="write a matrix or generator artifact")
+    add_params(pg)
+    add_source(pg)
+    pg.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
     pv = sub.add_parser("verify", help="run the cross-validation suite")
-    common(pv)
+    add_params(pv)
+    pv.add_argument("--seed", type=int, default=0)
     pv.add_argument("--against", default=None, help="generator JSON file to check")
-    common(sub.add_parser("bench", help="time matvec and structured solve"))
-    common(sub.add_parser("demo", help="run a model time-stepper"), demo=True)
+    pb = sub.add_parser("bench", help="time matvec and structured solve")
+    pb.add_argument("--seed", type=int, default=0)
+    pb.add_argument("--assert-linear", action="store_true")
+    pd = sub.add_parser("demo", help="run a model time-stepper")
+    pd.add_argument("problem", choices=("diffusion", "advection"))
+    add_params(pd)
+    add_source(pd)
+    pd.add_argument("--dt", type=float, default=1e-2)
+    pd.add_argument("--steps", type=int, default=100)
+    for p in (pg, pv, pb, pd):
+        p.add_argument("--out", default=None)
     return parser
 
 
@@ -363,21 +352,10 @@ def main(argv=None) -> int:
         # argparse exits with 2 on usage errors already.
         return int(exc.code or 0)
     try:
-        config = RunConfig(
-            command=args.command,
-            alpha=args.alpha,
-            beta=args.beta,
-            n=args.n,
-            source=_SOURCE_MAP[args.source],
-            fmt=args.fmt,
-            out=args.out,
-            dt=args.dt,
-            steps=args.steps,
-            seed=args.seed,
-            assert_linear=args.assert_linear,
-            problem=getattr(args, "problem", None),
-            against=getattr(args, "against", None),
-        )
+        options = vars(args)
+        if "source" in options:
+            options["source"] = _SOURCE_MAP[options["source"]]
+        config = RunConfig(**options)
     except (DomainError, ValueError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -33,7 +33,7 @@ from .specfun import (
     jacobi_table,
     log_gamma,
 )
-from .semisep import SkewGeneratorPair, skew_expand
+from .semisep import SkewGeneratorPair, scale, skew_expand, solve_structured
 
 __all__ = [
     "DiffMatrixBuild",
@@ -450,10 +450,12 @@ def boundedness_sums(params: JacobiParams) -> tuple[float, float, float]:
 
 @dataclass(frozen=True)
 class DiffMatrixBuild:
-    """A constructed N x N differentiation matrix.
+    """A constructed N x N differentiation matrix D.
 
     Dense routes store the strict lower triangle packed row-major; the
-    generator route stores the rank-2 skew pair.
+    generator route stores the rank-2 skew pair.  Both implement the two
+    operations the steppers need, ``matvec`` and ``solve_shifted``: in
+    O(N) through the generators, densely otherwise.
     """
 
     params: JacobiParams
@@ -470,6 +472,22 @@ class DiffMatrixBuild:
         rows, cols = np.tril_indices(self.n, k=-1)
         dense[rows, cols] = self.lower_packed
         return dense - dense.T
+
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        """D @ v."""
+        if self.pair is not None:
+            return skew_expand(self.pair).matvec(v)
+        return self.dense() @ v
+
+    def solve_shifted(self, s: float, rhs: np.ndarray) -> np.ndarray:
+        """The solution x of (I + s D) x = rhs.
+
+        Raises ``semisep.SingularityError`` (generators) or
+        ``numpy.linalg.LinAlgError`` (dense) if the system is singular.
+        """
+        if self.pair is not None:
+            return solve_structured(scale(skew_expand(self.pair), s), 1.0, rhs)
+        return np.linalg.solve(np.eye(self.n) + s * self.dense(), rhs)
 
 
 def _pack_lower(dense_lower: np.ndarray) -> np.ndarray:

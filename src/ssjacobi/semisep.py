@@ -11,7 +11,6 @@ structure down to a banded matrix with 2r+1 diagonals.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +25,6 @@ __all__ = [
     "skew_expand",
     "add",
     "scale",
-    "product_rank1",
     "product",
     "solve_structured",
     "truncate",
@@ -128,12 +126,8 @@ class SemiSepGenerators:
             raise ValueError(f"vector length {v.shape} does not match size {self.n}")
         out = self.c * v
         if self.rank:
-            bv = self.b * v  # (r, n)
-            suffix = np.cumsum(bv[:, ::-1], axis=1)[:, ::-1]
-            suffix = np.concatenate([suffix[:, 1:], np.zeros((self.rank, 1))], axis=1)
-            ev = self.e * v
-            prefix = np.cumsum(ev, axis=1)
-            prefix = np.concatenate([np.zeros((self.rank, 1)), prefix[:, :-1]], axis=1)
+            suffix = _suffix(self.b * v)
+            prefix = _excl_prefix(self.e * v)
             out = out + np.einsum("in,in->n", self.a, suffix)
             out = out + np.einsum("in,in->n", self.d, prefix)
         return out
@@ -231,9 +225,9 @@ def scale(g: SemiSepGenerators, s: float) -> SemiSepGenerators:
     return SemiSepGenerators(n=g.n, a=s * g.a, b=g.b, c=s * g.c, d=s * g.d, e=g.e)
 
 
-def _excl_prefix(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Exclusive prefix sums along the last axis."""
-    c = np.cumsum(x, axis=axis)
+def _excl_prefix(x: np.ndarray) -> np.ndarray:
+    """Exclusive prefix sums along the last axis: out[n] = sum_{k<n} x[k]."""
+    c = np.cumsum(x, axis=-1)
     out = np.empty_like(c)
     out[..., 0] = 0.0
     out[..., 1:] = c[..., :-1]
@@ -249,58 +243,15 @@ def _suffix(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def product_rank1(ga: SemiSepGenerators, gb: SemiSepGenerators) -> SemiSepGenerators:
-    """Product of two rank-1 generator forms, as a rank-2 generator form.
-
-    All running sums are finite-horizon: the tail sums over k > n stop at
-    N-1, which makes the result exactly the product of the N x N
-    truncations.  The n-th upper generator pairs the second factor's
-    column vectors with accumulated cross sums; the tail accumulation for
-    b[2] runs over b_k * s_k against the second factor's lower row
-    generators (the grouping that the dense oracle confirms).
-    """
-    if ga.n != gb.n:
-        raise ValueError(f"size mismatch: {ga.n} vs {gb.n}")
-    if ga.rank != 1 or gb.rank != 1:
-        raise ValueError("product_rank1 requires two rank-1 operands")
-    a, b, d, e = (v[0].astype(np.longdouble) for v in (ga.a, ga.b, ga.d, ga.e))
-    f = ga.c.astype(np.longdouble)
-    p, q, s, t = (v[0].astype(np.longdouble) for v in (gb.a, gb.b, gb.d, gb.e))
-    r = gb.c.astype(np.longdouble)
-
-    pre_ep = _excl_prefix(e * p)          # sum_{k<m} e_k p_k
-    pre_bp = _excl_prefix(b * p)          # sum_{k<m} b_k p_k
-    pre_bp_inc = pre_bp + b * p           # sum_{k<=m}
-    suf_bs = _suffix(b * s)               # sum_{k>m} b_k s_k
-    pre_es = _excl_prefix(e * s)          # sum_{k<m} e_k s_k
-    pre_es_inc = pre_es + e * s           # sum_{k<=m}
-
-    a1 = d * pre_ep + f * p - a * pre_bp_inc
-    b1 = q.copy()
-    a2 = a.copy()
-    b2 = q * pre_bp + b * r + t * suf_bs
-    c = d * q * pre_ep + f * r + a * t * suf_bs
-    d1 = d.copy()
-    e1 = q * pre_ep + e * r - t * pre_es_inc
-    d2 = d * pre_es + f * s + a * suf_bs
-    e2 = t.copy()
-    return SemiSepGenerators(
-        n=ga.n,
-        a=np.vstack([a1, a2]),
-        b=np.vstack([b1, b2]),
-        c=c,
-        d=np.vstack([d1, d2]),
-        e=np.vstack([e1, e2]),
-    )
-
-
 def product(ga: SemiSepGenerators, gb: SemiSepGenerators) -> SemiSepGenerators:
     """Product of two generator forms, with rank rA + rB per triangle.
 
     This realizes the rank-additivity grouping: rB upper pairs share the
     second factor's b-vectors, rA upper pairs share the first factor's
     a-vectors (and symmetrically below).  All cross accumulations are
-    prefix/suffix sums, O(N rA rB) total.
+    prefix/suffix sums, O(N rA rB) total.  The sums are finite-horizon:
+    tail sums over k > n stop at N-1, which makes the result exactly the
+    product of the N x N truncations.
     """
     if ga.n != gb.n:
         raise ValueError(f"size mismatch: {ga.n} vs {gb.n}")
@@ -480,38 +431,29 @@ def _annihilation_coeffs(gen: np.ndarray, direction: int, n: int, r: int):
     return x
 
 
-def _shifted(arr: np.ndarray, k: int) -> np.ndarray:
-    """arr shifted so that out[m] = arr[m + k], zero-padded."""
-    n = arr.shape[-1]
-    out = np.zeros_like(arr)
-    if k == 0:
-        return arr.copy()
-    if k > 0:
-        if k < n:
-            out[..., : n - k] = arr[..., k:]
-    else:
-        if -k < n:
-            out[..., -k:] = arr[..., : n + k]
-    return out
-
-
 def reduce_to_banded(
     g: SemiSepGenerators, shift: float, rhs: np.ndarray
 ) -> tuple[BandedMatrix, np.ndarray, np.ndarray]:
     """Eliminate the generator structure of M = shift*I + A down to a band.
 
-    Column sweep: column n gets a combination of columns n-1 .. n-r
-    subtracted, with coefficients cancelling the b-generators, which
-    zeroes the upper triangle beyond offset r; the lower triangle stays
-    semi-separable with updated e-vectors.  Row sweep: the mirror image
-    with rows m-1 .. m-r cancelling the d-generators.  Eliminating
-    against the *preceding* index keeps the coefficients contracting for
-    generator sequences that decay along the diagonal (the
-    differentiation-matrix case), which bounds element growth.
+    Column sweep: column k of M C is column k of M minus a combination of
+    columns k-1 .. k-r, with coefficients cancelling the b-generators,
+    so M C is zero above offset r.  Row sweep: the mirror image with rows
+    m-1 .. m-r cancelling the d-generators, so T M C is also zero below
+    offset -r.  Eliminating against the *preceding* index keeps the
+    coefficients contracting for generator sequences that decay along
+    the diagonal (the differentiation-matrix case), which bounds element
+    growth.
 
-    Returns the 2r+1-diagonal band B = T M C, the row-transformed right
-    side T rhs, and the column coefficients needed to map the banded
-    solution z back to x = C z.
+    T and C are unit banded with r off-diagonals, so an entry of
+    B = T M C at offset p draws on M C at offsets p .. p+r, and those on
+    M at offsets p-r .. p+r.  As M C vanishes above offset r, the band
+    |p| <= r needs only the diagonals of M at offsets -2r .. r, which are
+    read off the generators directly.
+
+    Returns the 2r+1-diagonal band B, the row-transformed right side
+    T rhs, and the column coefficients needed to map the banded solution
+    z back to x = C z.
     """
     n, r = g.n, g.rank
     rhs = np.asarray(rhs, dtype=float)
@@ -521,47 +463,28 @@ def reduce_to_banded(
         bands = (g.c + shift)[None, :].copy()
         return BandedMatrix(n=n, p=0, q=0, bands=bands), rhs.copy(), np.zeros((n, 0))
 
-    diags = g.diagonals(range(-r, r + 1))
-    diags[0] = diags[0] + shift
-
-    # Column sweep coefficients and the updated lower-right generators.
-    x = _annihilation_coeffs(g.b, -1, n, r)      # (n, r), zero for n < r
-    e_new = g.e.copy()
-    for j in range(1, r + 1):
-        e_new -= x[:, j - 1][None, :] * _shifted(g.e, -j)
-    # Upper band of M C, stored per column: U[o][col] = (M C)[col - o, col].
-    upper = {}
-    for o in range(0, r + 1):
-        vals = _shifted(diags[o], -o)            # M[col-o, col]
-        for j in range(1, r + 1):
-            vals = vals - x[:, j - 1] * _shifted(diags[o - j], -o)
-        upper[o] = vals
-
-    def mc_diag(q: int) -> np.ndarray:
-        """Diagonal of M C at offset q, indexed by row: out[k] = (MC)[k, k+q]."""
-        if q > r:
-            return np.zeros(n)
-        if q >= 0:
-            return _shifted(upper[q], q)         # upper[q][k+q]
-        vals = np.zeros(n)
-        rows = np.arange(-q, n)
-        vals[rows] = np.einsum("im,im->m", g.d[:, rows], e_new[:, rows + q])
-        return vals
-
-    # Row sweep.
+    x = _annihilation_coeffs(g.b, -1, n, r)      # (n, r), zero for k < r
     y = _annihilation_coeffs(g.d, -1, n, r)      # (n, r), zero for m < r
-    rhs2 = rhs.copy()
-    for j in range(1, r + 1):
-        rhs2 -= y[:, j - 1] * _shifted(rhs, -j)
-    mc = {q: mc_diag(q) for q in range(-r, 2 * r + 1)}
-    bands = np.zeros((2 * r + 1, n))
+    # Rows of C and T, zero-padded by r on both sides so that every shift
+    # below is a plain slice: cx[j, r+k] = C[k-j, k], ty[i, r+m] = T[m, m-i].
+    cx = np.zeros((r + 1, n + 2 * r))
+    cx[:, r : r + n] = np.vstack([np.ones(n), -x.T])
+    ty = np.zeros_like(cx)
+    ty[:, r : r + n] = np.vstack([np.ones(n), -y.T])
+    md = np.array(list(g.diagonals(range(-2 * r, r + 1)).values()))  # md[2r+k, m] = M[m, m+k]
+    md[2 * r] += shift
+    mc = np.zeros((2 * r + 1, n + 2 * r))        # mc[r+q, r+m] = (M C)[m, m+q]
+    for q in range(-r, r + 1):
+        for j in range(r + 1):                   # (M C)[m, m+q] += M[m, m+q-j] C[m+q-j, m+q]
+            mc[r + q, r : r + n] += md[2 * r + q - j] * cx[j, r + q : r + q + n]
+    bands = np.zeros((2 * r + 1, n))             # bands[r-p, k] = B[k-p, k]
     for p in range(-r, r + 1):
-        vals = mc[p].copy()
-        for j in range(1, r + 1):
-            vals -= y[:, j - 1] * _shifted(mc[p + j], -j)
-        rows = np.arange(max(0, -p), min(n, n - p))
-        cols = rows + p
-        bands[r + rows - cols, cols] = vals[rows]
+        for i in range(min(r, r - p) + 1):       # B[k-p, k] += T[k-p, k-p-i] (M C)[k-p-i, k]
+            lo = r - p - i
+            bands[r - p] += ty[i, r - p : r - p + n] * mc[r + p + i, lo : lo + n]
+    rhs2 = rhs.copy()
+    for i in range(1, min(r, n - 1) + 1):
+        rhs2[i:] -= y[i:, i - 1] * rhs[:-i]
     return BandedMatrix(n=n, p=r, q=r, bands=bands), rhs2, x
 
 
@@ -572,8 +495,8 @@ def solve_structured(
     banded, rhs2, col_coeffs = reduce_to_banded(g, shift, rhs)
     z = banded.solve(rhs2)
     x = z.copy()
-    for j in range(1, g.rank + 1):
-        x -= _shifted(col_coeffs[:, j - 1] * z, j)
+    for j in range(1, min(g.rank, g.n - 1) + 1):
+        x[:-j] -= col_coeffs[j:, j - 1] * z[j:]
     return x
 
 

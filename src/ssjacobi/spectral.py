@@ -127,38 +127,29 @@ def differentiate(build: DiffMatrixBuild, u: CoeffVector) -> CoeffVector:
     when the build carries generators, dense matvec otherwise.
     """
     _check_match(build, u)
-    if build.pair is not None:
-        out = -semisep.skew_expand(build.pair).matvec(u.coeffs)
-    else:
-        out = build.dense().T @ u.coeffs
-    return CoeffVector(params=u.params, coeffs=out)
+    return CoeffVector(params=u.params, coeffs=-build.matvec(u.coeffs))
 
 
 def step_diffusion(build: DiffMatrixBuild, u: CoeffVector, dt: float) -> CoeffVector:
     """One implicit-Euler step of u_t = u_xx: solve (I - dt D^2) u+ = u.
 
     D^2 is negative semidefinite, so the system matrix is symmetric
-    positive definite and the step contracts the l2 norm.
+    positive definite and the step contracts the l2 norm.  It is solved
+    as (I + sqrt(dt) D)(I - sqrt(dt) D) u+ = u, since the factors commute:
+    on the generator path two rank-2 solves are better conditioned after
+    banded reduction than one solve on the rank-4 product generators.
     """
     _check_match(build, u)
     if dt <= 0:
         raise DomainError(f"dt must be > 0, got {dt!r}")
-    if build.pair is not None:
-        # (I - dt D^2) = (I + sqrt(dt) D)(I - sqrt(dt) D) since the factors
-        # commute; two rank-2 solves are better conditioned after banded
-        # reduction than one solve on the rank-4 product generators.
-        g = semisep.skew_expand(build.pair)
-        root = math.sqrt(dt)
-        try:
-            mid = semisep.solve_structured(semisep.scale(g, root), 1.0, u.coeffs)
-            out = semisep.solve_structured(semisep.scale(g, -root), 1.0, mid)
-        except semisep.SingularityError as exc:  # pragma: no cover
-            raise InternalConsistencyError(
-                "diffusion system reported singular; it is positive definite"
-            ) from exc
-    else:
-        dmat = build.dense()
-        out = np.linalg.solve(np.eye(build.n) - dt * (dmat @ dmat), u.coeffs)
+    root = math.sqrt(dt)
+    try:
+        mid = build.solve_shifted(root, u.coeffs)
+        out = build.solve_shifted(-root, mid)
+    except semisep.SingularityError as exc:  # pragma: no cover
+        raise InternalConsistencyError(
+            "diffusion system reported singular; it is positive definite"
+        ) from exc
     return CoeffVector(params=u.params, coeffs=out)
 
 
@@ -171,20 +162,13 @@ def step_advection_cayley(build: DiffMatrixBuild, u: CoeffVector, dt: float) -> 
     _check_match(build, u)
     if dt <= 0:
         raise DomainError(f"dt must be > 0, got {dt!r}")
-    if build.pair is not None:
-        g = semisep.skew_expand(build.pair)
-        rhs = u.coeffs + (dt / 2.0) * g.matvec(u.coeffs)
-        try:
-            out = semisep.solve_structured(semisep.scale(g, -dt / 2.0), 1.0, rhs)
-        except semisep.SingularityError as exc:  # pragma: no cover
-            raise InternalConsistencyError(
-                "Cayley system reported singular; its spectrum is 1 + imaginary"
-            ) from exc
-    else:
-        dmat = build.dense()
-        eye = np.eye(build.n)
-        rhs = (eye + (dt / 2.0) * dmat) @ u.coeffs
-        out = np.linalg.solve(eye - (dt / 2.0) * dmat, rhs)
+    rhs = u.coeffs + (dt / 2.0) * build.matvec(u.coeffs)
+    try:
+        out = build.solve_shifted(-dt / 2.0, rhs)
+    except semisep.SingularityError as exc:  # pragma: no cover
+        raise InternalConsistencyError(
+            "Cayley system reported singular; its spectrum is 1 + imaginary"
+        ) from exc
     return CoeffVector(params=u.params, coeffs=out)
 
 

@@ -54,7 +54,6 @@ class TestGen:
             ["gen", "--alpha", "0"],
             ["gen", "--beta", "-1"],
             ["gen", "--n", "0"],
-            ["gen", "--dt", "0"],
         ],
     )
     def test_invalid_configuration(self, argv, tmp_path, capsys):
@@ -157,6 +156,18 @@ class TestDemo:
         nb = np.array([float(r[2]) for r in list(csv.reader(open(b)))[1:]])
         assert np.abs(na - nb).max() <= 1e-9
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["demo", "diffusion", "--dt", "0"],
+            ["demo", "advection", "--steps", "-1"],
+        ],
+    )
+    def test_invalid_configuration(self, argv, tmp_path, capsys):
+        assert run(argv + ["--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "invalid configuration" in err
+
     def test_missing_problem_is_usage_error(self):
         assert run(["demo"]) == 2
 
@@ -170,3 +181,17 @@ class TestParser:
 
     def test_unknown_command_is_usage_error(self):
         assert run(["frobnicate"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "--dt", "0.1"],
+            ["verify", "--source", "oracle"],
+            ["bench", "--alpha", "3"],
+            ["demo", "diffusion", "--assert-linear"],
+        ],
+    )
+    def test_flag_of_another_subcommand_is_usage_error(self, argv, tmp_path, capsys):
+        assert run(argv + ["--out", str(tmp_path / "x")]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()

@@ -278,6 +278,18 @@ class TestBuild:
         dense = b.dense()
         assert np.array_equal(dense, -dense.T)
 
+    @pytest.mark.parametrize("source", SOURCES)
+    @pytest.mark.parametrize("n", [1, 2, 24])
+    def test_operator_interface_matches_dense(self, source, n):
+        b = build(P42, n, source)
+        dense = b.dense()
+        rng = np.random.default_rng(n)
+        v = rng.standard_normal(n)
+        assert np.abs(b.matvec(v) - dense @ v).max() <= 1e-12 * max(np.abs(dense).max(), 1.0)
+        for s in (0.1, -0.05):
+            x = b.solve_shifted(s, v)
+            assert np.abs(x + s * (dense @ x) - v).max() <= 1e-12 * max(np.abs(v).max(), 1.0)
+
 
 class TestLargeSizeStability:
     def test_entries_finite_and_block_stable(self):

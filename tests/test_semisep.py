@@ -17,7 +17,7 @@ from ssjacobi.semisep import (
     add,
     from_json,
     product,
-    product_rank1,
+    reduce_to_banded,
     scale,
     skew_expand,
     solve_structured,
@@ -161,10 +161,12 @@ class TestAddScale:
 
 
 class TestProductRank1:
+    """`product` on rank-1 operands: the rank-1 special case."""
+
     def test_all_ones_square(self):
         g = ones_offdiag(3)
         expected = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]])
-        assert np.allclose(np.asarray(product_rank1(g, g).to_dense(), dtype=float), expected)
+        assert np.allclose(np.asarray(product(g, g).to_dense(), dtype=float), expected)
 
     def test_diagonal_factor_scales_rows(self):
         rng = np.random.default_rng(9)
@@ -175,7 +177,7 @@ class TestProductRank1:
             e=rng.standard_normal((1, n)),
         )
         gb = random_generators(n, 1, rng)
-        got = np.asarray(product_rank1(diag, gb).to_dense(), dtype=float)
+        got = np.asarray(product(diag, gb).to_dense(), dtype=float)
         assert np.allclose(got, np.diag(diag.c) @ gb.to_dense(), atol=1e-13)
 
     def test_random_draws_match_dense(self):
@@ -184,19 +186,14 @@ class TestProductRank1:
             ga = random_generators(20, 1, rng)
             gb = random_generators(20, 1, rng)
             dp = ga.to_dense() @ gb.to_dense()
-            got = np.asarray(product_rank1(ga, gb).to_dense(), dtype=float)
+            got = np.asarray(product(ga, gb).to_dense(), dtype=float)
             assert np.abs(got - dp).max() <= 1e-12 * max(np.abs(dp).max(), 1.0)
 
     def test_result_rank_is_two(self):
         rng = np.random.default_rng(11)
-        assert product_rank1(
+        assert product(
             random_generators(6, 1, rng), random_generators(6, 1, rng)
         ).rank == 2
-
-    def test_requires_rank_one(self):
-        rng = np.random.default_rng(12)
-        with pytest.raises(ValueError):
-            product_rank1(random_generators(4, 2, rng), random_generators(4, 1, rng))
 
 
 class TestProduct:
@@ -314,6 +311,62 @@ class TestSolveStructured:
         g = SemiSepGenerators.diagonal(np.zeros(3))
         with pytest.raises(SingularityError):
             solve_structured(g, 0.0, np.ones(3))
+
+
+def dense_reduction_factors(g, shift, rhs):
+    """Dense T, M and C of the reduction, built from what it returns.
+
+    C is unit upper banded with C[k-j, k] = -col_coeffs[k, j-1]; T is
+    linear in the right side, so its columns are T e_k.
+    """
+    banded, rhs2, col_coeffs = reduce_to_banded(g, shift, rhs)
+    n, r = col_coeffs.shape
+    c_mat = np.eye(n)
+    for j in range(1, min(r, n - 1) + 1):
+        c_mat -= np.diag(col_coeffs[j:, j - 1], j)
+    t_mat = np.column_stack([reduce_to_banded(g, shift, e)[1] for e in np.eye(n)])
+    m_mat = shift * np.eye(n) + np.asarray(g.to_dense(), dtype=float)
+    return banded, rhs2, t_mat, m_mat, c_mat
+
+
+class TestReduceToBanded:
+    CASES = [(n, rank, seed) for n in (1, 2, 3, 5, 12, 40)
+             for rank in (0, 1, 2, 3) for seed in (0, 1)]
+
+    @staticmethod
+    def check(g, shift, rhs):
+        banded, rhs2, t_mat, m_mat, c_mat = dense_reduction_factors(g, shift, rhs)
+        n, r = g.n, g.rank
+        assert (banded.p, banded.q) == (r, r)
+        assert np.all(np.abs(rhs2 - t_mat @ rhs) <= 1e-13 * (np.abs(t_mat) @ np.abs(rhs)))
+        prod = t_mat @ m_mat @ c_mat
+        # Entrywise roundoff scale of the triple product.  Entries of M
+        # that cancel in a generator product still carry roundoff of the
+        # size of the product of the generator magnitudes.
+        g_abs = SemiSepGenerators(n=n, a=np.abs(g.a), b=np.abs(g.b), c=np.abs(g.c),
+                                  d=np.abs(g.d), e=np.abs(g.e))
+        m_abs = abs(shift) * np.eye(n) + g_abs.to_dense()
+        scale_ = np.abs(t_mat) @ m_abs @ np.abs(c_mat)
+        in_band = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) <= r
+        tol = 1e-13 * scale_ + 1e-300
+        assert np.all(np.abs(banded.to_dense() - np.where(in_band, prod, 0.0)) <= tol)
+        assert np.all(np.abs(np.where(in_band, 0.0, prod)) <= tol)
+        x = c_mat @ banded.solve(rhs2)
+        ref = np.linalg.solve(m_mat, rhs)
+        assert np.abs(x - ref).max() <= 1e-10 * max(np.abs(ref).max(), 1.0)
+
+    @pytest.mark.parametrize("n,rank,seed", CASES)
+    def test_random_generators(self, n, rank, seed):
+        rng = np.random.default_rng(1000 * n + 10 * rank + seed)
+        g = random_generators(n, rank, rng)
+        shift = 10.0 * max(np.abs(g.to_dense()).sum(axis=1).max(), 1.0)
+        self.check(g, shift, rng.standard_normal(n))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 64])
+    @pytest.mark.parametrize("alpha,beta,s", [(2.0, 2.0, 0.1), (4.0, 2.0, -0.1), (12.0, 1.0, 0.3)])
+    def test_differentiation_operator(self, n, alpha, beta, s):
+        g = scale(skew_expand(jacobidiff.generators(JacobiParams(alpha, beta), n)), s)
+        self.check(g, 1.0, np.random.default_rng(n).standard_normal(n))
 
 
 class TestSubmatrixRankLaw:
