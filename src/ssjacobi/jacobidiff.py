@@ -33,7 +33,7 @@ from .specfun import (
     jacobi_table,
     log_gamma,
 )
-from .semisep import SkewGeneratorPair, scale, skew_expand, solve_structured
+from .semisep import ShiftedSolver, SkewGeneratorPair, scale, skew_expand
 
 __all__ = [
     "DiffMatrixBuild",
@@ -448,6 +448,11 @@ def boundedness_sums(params: JacobiParams) -> tuple[float, float, float]:
     return direct
 
 
+# A generator build keeps the factors of this many shifts: the three that
+# the two steppers use at one dt (+-sqrt(dt) and -dt/2), plus one.
+_FACTOR_CACHE_SIZE = 4
+
+
 @dataclass(frozen=True)
 class DiffMatrixBuild:
     """A constructed N x N differentiation matrix D.
@@ -455,7 +460,10 @@ class DiffMatrixBuild:
     Dense routes store the strict lower triangle packed row-major; the
     generator route stores the rank-2 skew pair.  Both implement the two
     operations the steppers need, ``matvec`` and ``solve_shifted``: in
-    O(N) through the generators, densely otherwise.
+    O(N) through the generators, densely otherwise.  A generator build
+    expands its pair once, factors I + s D once per shift s and keeps the
+    factors of the last few shifts, so repeated steps at one dt only
+    solve.
     """
 
     params: JacobiParams
@@ -464,6 +472,7 @@ class DiffMatrixBuild:
     lower_packed: np.ndarray | None = None
     pair: SkewGeneratorPair | None = None
     metadata: dict = field(default_factory=dict)
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def dense(self) -> np.ndarray:
         if self.pair is not None:
@@ -473,10 +482,16 @@ class DiffMatrixBuild:
         dense[rows, cols] = self.lower_packed
         return dense - dense.T
 
+    def _generators(self):
+        """The expanded generators of the pair; built once."""
+        if "generators" not in self._cache:
+            self._cache["generators"] = skew_expand(self.pair)
+        return self._cache["generators"]
+
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """D @ v."""
         if self.pair is not None:
-            return skew_expand(self.pair).matvec(v)
+            return self._generators().matvec(v)
         return self.dense() @ v
 
     def solve_shifted(self, s: float, rhs: np.ndarray) -> np.ndarray:
@@ -485,9 +500,16 @@ class DiffMatrixBuild:
         Raises ``semisep.SingularityError`` (generators) or
         ``numpy.linalg.LinAlgError`` (dense) if the system is singular.
         """
-        if self.pair is not None:
-            return solve_structured(scale(skew_expand(self.pair), s), 1.0, rhs)
-        return np.linalg.solve(np.eye(self.n) + s * self.dense(), rhs)
+        if self.pair is None:
+            return np.linalg.solve(np.eye(self.n) + s * self.dense(), rhs)
+        s = float(s)
+        factors = self._cache.setdefault("factors", {})
+        if s not in factors:
+            solver = ShiftedSolver(scale(self._generators(), s), 1.0)
+            if len(factors) >= _FACTOR_CACHE_SIZE:
+                del factors[next(iter(factors))]  # the oldest
+            factors[s] = solver
+        return factors[s].solve(rhs)
 
 
 def _pack_lower(dense_lower: np.ndarray) -> np.ndarray:

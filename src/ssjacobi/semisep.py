@@ -14,12 +14,13 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgbsv
+from scipy.linalg.lapack import dgbsv, dgbtrf, dgbtrs
 
 __all__ = [
     "SemiSepGenerators",
     "SkewGeneratorPair",
     "BandedMatrix",
+    "ShiftedSolver",
     "SingularityError",
     "DENSE_CAP",
     "skew_expand",
@@ -152,22 +153,16 @@ class SemiSepGenerators:
         valid m, zero elsewhere.
         """
         out = {}
+        n = self.n
         for k in offsets:
-            diag = np.zeros(self.n)
+            diag = np.zeros(n)
             if k == 0:
                 diag[:] = self.c
-            elif k > 0:
-                rows = np.arange(0, self.n - k)
-                if rows.size and self.rank:
-                    diag[rows] = np.einsum(
-                        "im,im->m", self.a[:, rows], self.b[:, rows + k]
-                    )
-            else:
-                rows = np.arange(-k, self.n)
-                if rows.size and self.rank:
-                    diag[rows] = np.einsum(
-                        "im,im->m", self.d[:, rows], self.e[:, rows + k]
-                    )
+            elif self.rank and abs(k) < n:
+                if k > 0:
+                    diag[: n - k] = np.einsum("im,im->m", self.a[:, : n - k], self.b[:, k:])
+                else:
+                    diag[-k:] = np.einsum("im,im->m", self.d[:, -k:], self.e[:, : n + k])
             out[k] = diag
         return out
 
@@ -177,7 +172,8 @@ class SkewGeneratorPair:
     """Upper-triangle generators (a, b) of a skew-symmetric matrix.
 
     Expands to the full form with c = 0, d = b, e = -a, so that the dense
-    matrix satisfies A + A^T = 0 exactly.
+    matrix satisfies A + A^T = 0 exactly.  The pair keeps read-only copies
+    of a and b, so a factorization cached for it cannot go stale.
     """
 
     n: int
@@ -185,8 +181,10 @@ class SkewGeneratorPair:
     b: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "a", _as_gen_block(self.a, self.n, "skew a"))
-        object.__setattr__(self, "b", _as_gen_block(self.b, self.n, "skew b"))
+        for name, what in (("a", "skew a"), ("b", "skew b")):
+            block = _as_gen_block(getattr(self, name), self.n, what).copy()
+            block.flags.writeable = False
+            object.__setattr__(self, name, block)
         if self.a.shape != self.b.shape:
             raise ValueError("skew generator blocks must share a shape")
 
@@ -361,19 +359,24 @@ class BandedMatrix:
             raise ValueError("band storage has the wrong shape")
 
     @staticmethod
+    def _index(n: int, p: int, q: int):
+        """Row and column of every band slot, and which slots lie in the matrix."""
+        j = np.broadcast_to(np.arange(n), (p + q + 1, n))
+        i = j + np.arange(-q, p + 1)[:, None]
+        return i, j, (i >= 0) & (i < n)
+
+    @staticmethod
     def from_dense(dense: np.ndarray, p: int, q: int) -> "BandedMatrix":
         n = dense.shape[0]
+        i, j, inside = BandedMatrix._index(n, p, q)
         bands = np.zeros((p + q + 1, n))
-        for i in range(n):
-            for j in range(max(0, i - p), min(n, i + q + 1)):
-                bands[q + i - j, j] = dense[i, j]
+        bands[inside] = dense[i[inside], j[inside]]
         return BandedMatrix(n=n, p=p, q=q, bands=bands)
 
     def to_dense(self) -> np.ndarray:
+        i, j, inside = BandedMatrix._index(self.n, self.p, self.q)
         dense = np.zeros((self.n, self.n))
-        for j in range(self.n):
-            for i in range(max(0, j - self.q), min(self.n, j + self.p + 1)):
-                dense[i, j] = self.bands[self.q + i - j, j]
+        dense[i[inside], j[inside]] = self.bands[inside]
         return dense
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
@@ -482,22 +485,83 @@ def reduce_to_banded(
         for i in range(min(r, r - p) + 1):       # B[k-p, k] += T[k-p, k-p-i] (M C)[k-p-i, k]
             lo = r - p - i
             bands[r - p] += ty[i, r - p : r - p + n] * mc[r + p + i, lo : lo + n]
-    rhs2 = rhs.copy()
-    for i in range(1, min(r, n - 1) + 1):
-        rhs2[i:] -= y[i:, i - 1] * rhs[:-i]
-    return BandedMatrix(n=n, p=r, q=r, bands=bands), rhs2, x
+    return BandedMatrix(n=n, p=r, q=r, bands=bands), _row_transform(y, rhs), x
+
+
+def _row_transform(row_coeffs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """T rhs for the unit lower-banded row transform T of the reduction."""
+    out = rhs.copy()
+    for i in range(1, min(row_coeffs.shape[1], rhs.size - 1) + 1):
+        out[i:] -= row_coeffs[i:, i - 1] * rhs[:-i]
+    return out
+
+
+class ShiftedSolver:
+    """(shift*I + A) x = rhs, factored once and solved many times.
+
+    Construction runs the band reduction of ``reduce_to_banded`` once and
+    LU-factors the 2r+1-diagonal band (LAPACK gbtrf), in O(N r^2).  Each
+    ``solve`` is then the row transform of rhs, one banded triangular
+    solve pair (gbtrs) and the column back-map, in O(N r).
+
+    ``growth`` is the largest |annihilation coefficient| of the
+    reduction: the factor by which elimination can amplify entries.
+    ``residual(x, rhs)`` is an O(N) relative backward error of a
+    solution; neither is computed unless asked for.
+
+    Raises ``SingularityError`` if the band is singular.
+    """
+
+    def __init__(self, g: SemiSepGenerators, shift: float):
+        n, r = g.n, g.rank
+        self.g = g
+        self.shift = float(shift)
+        banded, _, self.col_coeffs = reduce_to_banded(g, shift, np.zeros(n))
+        # reduce_to_banded applies the row transform but does not return
+        # it; its coefficients are the annihilation solve on d.
+        self.row_coeffs = _annihilation_coeffs(g.d, -1, n, r)
+        ab = np.zeros((3 * r + 1, n))
+        ab[r:, :] = banded.bands
+        self.lu, self.piv, info = dgbtrf(ab, r, r)
+        if info < 0:  # pragma: no cover
+            raise ValueError(f"illegal argument {-info} to banded factorization")
+        if info > 0:
+            raise SingularityError("singular banded factor", info - 1)
+
+    @property
+    def growth(self) -> float:
+        coeffs = np.concatenate([self.row_coeffs.ravel(), self.col_coeffs.ravel()])
+        return float(np.abs(coeffs).max(initial=0.0))
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """The solution x of (shift*I + A) x = rhs."""
+        n, r = self.g.n, self.g.rank
+        rhs = np.asarray(rhs, dtype=float)
+        if rhs.shape != (n,):
+            raise ValueError(f"rhs length {rhs.shape} does not match size {n}")
+        z, info = dgbtrs(self.lu, r, r, _row_transform(self.row_coeffs, rhs), self.piv)
+        if info < 0:  # pragma: no cover
+            raise ValueError(f"illegal argument {-info} to banded solver")
+        x = z.copy()
+        for j in range(1, min(r, n - 1) + 1):
+            x[:-j] -= self.col_coeffs[j:, j - 1] * z[j:]
+        return x
+
+    def residual(self, x: np.ndarray, rhs: np.ndarray) -> float:
+        """||M x - rhs|| / (|shift| ||x|| + ||A x|| + ||rhs||), M = shift*I + A."""
+        x = np.asarray(x, dtype=float)
+        rhs = np.asarray(rhs, dtype=float)
+        ax = self.g.matvec(x)
+        denom = abs(self.shift) * np.linalg.norm(x) + np.linalg.norm(ax) + np.linalg.norm(rhs)
+        resid = np.linalg.norm(self.shift * x + ax - rhs)
+        return float(resid / denom) if denom else 0.0
 
 
 def solve_structured(
     g: SemiSepGenerators, shift: float, rhs: np.ndarray
 ) -> np.ndarray:
     """Solve (shift*I + A) x = rhs in O(N r^2) time and O(N r) memory."""
-    banded, rhs2, col_coeffs = reduce_to_banded(g, shift, rhs)
-    z = banded.solve(rhs2)
-    x = z.copy()
-    for j in range(1, min(g.rank, g.n - 1) + 1):
-        x[:-j] -= col_coeffs[j:, j - 1] * z[j:]
-    return x
+    return ShiftedSolver(g, shift).solve(rhs)
 
 
 def to_json(g: SemiSepGenerators) -> str:

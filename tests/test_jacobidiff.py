@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from ssjacobi import semisep
+from ssjacobi import jacobidiff, semisep
 from ssjacobi.jacobidiff import (
     SOURCES,
     DiffMatrixBuild,
@@ -289,6 +289,84 @@ class TestBuild:
         for s in (0.1, -0.05):
             x = b.solve_shifted(s, v)
             assert np.abs(x + s * (dense @ x) - v).max() <= 1e-12 * max(np.abs(v).max(), 1.0)
+
+
+class TestFactorCache:
+    def test_second_solve_reuses_the_factor(self, monkeypatch):
+        calls = []
+        original = semisep.reduce_to_banded
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(semisep, "reduce_to_banded", counting)
+        b = build(P42, 32, "generators")
+        v = np.random.default_rng(4).standard_normal(32)
+        first = b.solve_shifted(0.1, v)
+        assert len(calls) == 1
+        assert np.array_equal(b.solve_shifted(0.1, v), first)
+        b.solve_shifted(-0.1, v)
+        b.solve_shifted(0.1, v)
+        assert len(calls) == 2
+
+    def test_cache_stays_bounded(self):
+        b = build(P42, 16, "generators")
+        dense = b.dense()
+        v = np.random.default_rng(5).standard_normal(16)
+        shifts = [0.01 * (k + 1) for k in range(10)]
+        for _ in range(3):
+            for s in shifts:
+                x = b.solve_shifted(s, v)
+                assert np.abs(x + s * (dense @ x) - v).max() <= 1e-12
+                assert len(b._cache["factors"]) <= 4
+        assert list(b._cache["factors"]) == shifts[-4:]
+
+    def test_failed_factor_keeps_the_cached_ones(self, monkeypatch):
+        b = build(P42, 16, "generators")
+        v = np.ones(16)
+        for s in (0.1, 0.2, 0.3, 0.4):
+            b.solve_shifted(s, v)
+
+        def singular(g, shift):
+            raise semisep.SingularityError("singular banded factor", 0)
+
+        monkeypatch.setattr(jacobidiff, "ShiftedSolver", singular)
+        with pytest.raises(semisep.SingularityError):
+            b.solve_shifted(0.5, v)
+        assert list(b._cache["factors"]) == [0.1, 0.2, 0.3, 0.4]
+
+    def test_dense_routes_cache_nothing(self):
+        b = build(P42, 16, "closed_form")
+        v = np.ones(16)
+        b.matvec(v)
+        b.solve_shifted(0.1, v)
+        assert b._cache == {}
+
+    def test_pair_cannot_be_written_in_place(self):
+        b = build(P22, 8, "generators")
+        with pytest.raises(ValueError):
+            b.pair.a[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            b.pair.b[:] = 0.0
+
+    def test_dense_and_generator_factors_agree(self):
+        bg = build(P42, 48, "generators")
+        bd = build(P42, 48, "closed_form")
+        rng = np.random.default_rng(6)
+        for _ in range(3):
+            v = rng.standard_normal(48)
+            for s in (0.1, -0.1, -5e-3):
+                xg, xd = bg.solve_shifted(s, v), bd.solve_shifted(s, v)
+                assert np.abs(xg - xd).max() <= 1e-11 * max(np.abs(xd).max(), 1.0)
+            assert np.abs(bg.matvec(v) - bd.matvec(v)).max() <= 1e-11 * np.abs(bd.dense()).max()
+
+    def test_cache_is_not_an_option(self):
+        b1 = build(P22, 4, "generators")
+        b1.solve_shifted(0.1, np.ones(4))
+        assert "_cache" not in repr(b1)
+        with pytest.raises(TypeError):
+            DiffMatrixBuild(params=P22, n=4, source="closed_form", _cache={})
 
 
 class TestLargeSizeStability:

@@ -12,6 +12,7 @@ from ssjacobi.semisep import (
     DENSE_CAP,
     BandedMatrix,
     SemiSepGenerators,
+    ShiftedSolver,
     SingularityError,
     SkewGeneratorPair,
     add,
@@ -239,6 +240,18 @@ class TestTruncate:
             truncate(g, 5)
 
 
+class TestSkewGeneratorPair:
+    def test_stores_read_only_copies(self):
+        a = np.ones((2, 4))
+        b = np.arange(8.0).reshape(2, 4)
+        pair = SkewGeneratorPair(n=4, a=a, b=b)
+        with pytest.raises(ValueError):
+            pair.a[0, 0] = 5.0
+        a[0, 0] = 7.0  # the caller's array stays writeable and is not shared
+        assert pair.a[0, 0] == 1.0
+        assert b.flags.writeable
+
+
 class TestSkewExpand:
     def test_rank_zero_is_zero_matrix(self):
         pair = SkewGeneratorPair(n=3, a=np.zeros((0, 3)), b=np.zeros((0, 3)))
@@ -367,6 +380,74 @@ class TestReduceToBanded:
     def test_differentiation_operator(self, n, alpha, beta, s):
         g = scale(skew_expand(jacobidiff.generators(JacobiParams(alpha, beta), n)), s)
         self.check(g, 1.0, np.random.default_rng(n).standard_normal(n))
+
+
+def reference_solve(g, shift, rhs):
+    """The unfactored solve: reduce, gbsv on the band, column back-map."""
+    banded, rhs2, col_coeffs = reduce_to_banded(g, shift, rhs)
+    z = banded.solve(rhs2)
+    x = z.copy()
+    for j in range(1, min(g.rank, g.n - 1) + 1):
+        x[:-j] -= col_coeffs[j:, j - 1] * z[j:]
+    return x
+
+
+class TestShiftedSolver:
+    PAIRS = [(2.0, 2.0), (1.0, 6.0), (0.5, 1.5), (4.0, 2.0), (8.0, 0.5), (12.0, 1.0)]
+    SCALES = (0.1, -0.1, -5e-3, 0.3, -1.0)
+    # The (alpha, beta, N) grid of the acceptance suite.
+    ACCEPTANCE = [(a, b, n) for a, b in [(0.5, 0.5), (1.0, 1.0), (2.0, 2.0), (4.0, 2.0),
+                                         (2.0, 4.0), (1.0, 3.0)] for n in (4, 16, 64)]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 64, 1024, 16384])
+    @pytest.mark.parametrize("alpha,beta", PAIRS)
+    def test_bit_identical_to_unfactored_solve(self, alpha, beta, n):
+        g = skew_expand(jacobidiff.generators(JacobiParams(alpha, beta), n))
+        rhs = np.random.default_rng(n).standard_normal(n)
+        for s in self.SCALES:
+            gs = scale(g, s)
+            solver = ShiftedSolver(gs, 1.0)
+            ref = reference_solve(gs, 1.0, rhs)
+            assert np.array_equal(solver.solve(rhs), ref)
+            assert np.array_equal(solver.solve(rhs), ref)  # the factor is not consumed
+            assert np.array_equal(solve_structured(gs, 1.0, rhs), ref)
+
+    @pytest.mark.parametrize("alpha,beta,n", ACCEPTANCE)
+    def test_residual_on_acceptance_grid(self, alpha, beta, n):
+        g = skew_expand(jacobidiff.generators(JacobiParams(alpha, beta), n))
+        rhs = np.random.default_rng(n).standard_normal(n)
+        for s in self.SCALES:
+            solver = ShiftedSolver(scale(g, s), 1.0)
+            assert solver.residual(solver.solve(rhs), rhs) <= 1e-13
+
+    def test_residual_detects_a_wrong_solution(self):
+        g = skew_expand(jacobidiff.generators(JacobiParams(2.0, 2.0), 64))
+        rhs = np.random.default_rng(3).standard_normal(64)
+        solver = ShiftedSolver(scale(g, 0.1), 1.0)
+        x = solver.solve(rhs)
+        x[10] *= 1.0 + 1e-6
+        assert solver.residual(x, rhs) > 1e-9
+
+    def test_growth_is_largest_annihilation_coefficient(self):
+        rng = np.random.default_rng(21)
+        g = random_generators(30, 2, rng)
+        solver = ShiftedSolver(g, 50.0)
+        coeffs = np.concatenate([solver.row_coeffs.ravel(), solver.col_coeffs.ravel()])
+        assert solver.growth == np.abs(coeffs).max() > 0
+        assert ShiftedSolver(SemiSepGenerators.diagonal([2.0, 3.0]), 1.0).growth == 0.0
+
+    def test_growth_of_differentiation_operator_is_contracting(self):
+        g = skew_expand(jacobidiff.generators(JacobiParams(4.0, 2.0), 1024))
+        assert ShiftedSolver(scale(g, -0.5), 1.0).growth <= 1.0
+
+    def test_rejects_wrong_rhs_length(self):
+        solver = ShiftedSolver(random_generators(5, 2, np.random.default_rng(22)), 20.0)
+        with pytest.raises(ValueError):
+            solver.solve(np.ones(4))
+
+    def test_singular_band_raises_at_construction(self):
+        with pytest.raises(SingularityError):
+            ShiftedSolver(SemiSepGenerators.diagonal(np.zeros(3)), 0.0)
 
 
 class TestSubmatrixRankLaw:
