@@ -17,7 +17,7 @@ import numpy as np
 
 from . import semisep
 from .jacobidiff import DiffMatrixBuild, InternalConsistencyError, kappa_vector
-from .specfun import DomainError, JacobiParams, gauss_jacobi_rule, jacobi_table
+from .specfun import DomainError, JacobiParams, gauss_jacobi_rule, jacobi_rows, jacobi_table
 
 __all__ = [
     "CoeffVector",
@@ -83,24 +83,44 @@ def wfun_eval(params: JacobiParams, n: int, x):
     return float(vals[0]) if scalar else vals
 
 
+def _sample(f, nodes: np.ndarray) -> np.ndarray:
+    """f at every node: one call on the node array when f returns one value
+    per node, else one call per node."""
+    try:
+        samples = np.asarray(f(nodes), dtype=float)
+    except Exception:
+        # A scalar-only f fails here in its own way (TypeError from math.sin,
+        # ValueError from an `if`); a genuine error raises again per node.
+        samples = None
+    if samples is None or samples.shape != nodes.shape:
+        samples = np.asarray([f(x) for x in nodes], dtype=float)
+    return samples
+
+
 def expand(params: JacobiParams, f, n_size: int) -> CoeffVector:
     """First N coefficients of f in the weighted basis, by Gauss quadrature.
 
     Uses Q = max(2N, 64) nodes; the square root of the weight is divided
     out analytically (all nodes are interior, where the weight is
     positive), so f itself need not be evaluable at the endpoints.
+
+    f must act elementwise: f(x)[i] == f(x[i]).  It is called once on the
+    whole (read-only, longdouble) node array, and the result is used if
+    it has shape (Q,); if that call raises or returns another shape, f is
+    called once per node instead.  The Jacobi polynomials are streamed
+    over the nodes one degree at a time, so memory is O(N + Q).
     """
     if n_size < 1:
         raise DomainError(f"size must be >= 1, got {n_size}")
     q_nodes = max(2 * n_size, 64)
     rule = gauss_jacobi_rule(params.alpha, params.beta, q_nodes)
-    samples = np.asarray([f(x) for x in rule.nodes], dtype=float)
+    samples = _sample(f, rule.nodes)
     if not np.all(np.isfinite(samples)):
         raise ValueError("function samples must be finite at the quadrature nodes")
-    ratio = samples / _sqrt_weight(params, rule.nodes)
-    table = jacobi_table(params.alpha, params.beta, n_size - 1, rule.nodes)
-    kvec = kappa_vector(params, n_size - 1)
-    coeffs = kvec * (table @ (rule.weights * ratio))
+    weighted = rule.weights * (samples / _sqrt_weight(params, rule.nodes))
+    rows = jacobi_rows(params.alpha, params.beta, n_size - 1, rule.nodes)
+    sums = np.array([row @ weighted for row in rows])
+    coeffs = kappa_vector(params, n_size - 1) * sums
     return CoeffVector(params=params, coeffs=coeffs)
 
 

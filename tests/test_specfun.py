@@ -1,6 +1,7 @@
 """Unit tests for the special-function layer."""
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -8,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ssjacobi import specfun
+from ssjacobi.jacobidiff import kappa_vector
 from ssjacobi.specfun import (
     ConvergenceError,
     DomainError,
@@ -18,6 +21,7 @@ from ssjacobi.specfun import (
     hyper_pfq_at,
     jacobi_eval,
     jacobi_reflection_check,
+    jacobi_rows,
     jacobi_table,
     jacobi_weight_mass,
     log_gamma,
@@ -97,7 +101,32 @@ class TestJacobiEval:
         x = np.linspace(-0.9, 0.9, 7)
         table = jacobi_table(2.0, 1.0, 5, x)
         for n in range(6):
-            assert np.allclose(table[n], jacobi_eval(2.0, 1.0, n, x), rtol=1e-14)
+            assert np.array_equal(table[n], jacobi_eval(2.0, 1.0, n, x))
+        assert jacobi_eval(2.0, 1.0, 5, 0.3) == jacobi_table(2.0, 1.0, 5, [0.3])[5, 0]
+
+    def test_eval_keeps_the_shape_of_x(self):
+        x = np.linspace(-0.9, 0.9, 6).reshape(2, 3)
+        got = jacobi_eval(1.5, 0.5, 4, x)
+        assert got.shape == (2, 3)
+        assert np.array_equal(got.ravel(), jacobi_table(1.5, 0.5, 4, x.ravel())[4])
+        assert isinstance(jacobi_eval(1.5, 0.5, 4, 0.2), float)
+
+    @pytest.mark.parametrize("dtype", [float, np.longdouble])
+    def test_rows_are_the_table(self, dtype):
+        x = np.linspace(-0.95, 0.95, 9).astype(dtype)
+        rows = list(jacobi_rows(3.0, 0.5, 7, x))
+        table = jacobi_table(3.0, 0.5, 7, x)
+        assert table.dtype == dtype and len(rows) == 8
+        for row, ref in zip(rows, table):
+            assert np.array_equal(row, ref)
+
+    def test_rows_validate_before_iteration(self):
+        with pytest.raises(DomainError):
+            jacobi_rows(-1.0, 0.5, 3, [0.0])
+        with pytest.raises(DomainError):
+            jacobi_rows(1.0, 0.5, -1, [0.0])
+        with pytest.raises(DomainError):
+            jacobi_table(1.0, 0.5, -1, [0.0])
 
 
 class TestReflection:
@@ -185,6 +214,116 @@ class TestGaussJacobiRule:
         assert np.all(weights > 0)
         assert np.all(np.abs(nodes) < 1)
         assert np.all(np.diff(nodes) > 0)
+
+    # Pairs with alpha or beta in (-1, 0], large and unequal exponents, and
+    # sums alpha + beta that are inexact in double.
+    MP_GRID = [
+        (-0.9, 0.5), (0.0, -0.5), (0.001, 2.0), (2.3, 4.1),
+        (12.1, 1.3), (2.0, 2.0), (30.0, 1.0), (100.0, 150.0),
+    ]
+
+    @pytest.mark.parametrize("alpha,beta", MP_GRID)
+    def test_against_mpmath(self, alpha, beta):
+        # Nodes: within 1e-18 of the 50-digit roots (the x87 longdouble
+        # floor is about 5e-20; where longdouble is double, 8 ulp of it).  Weights: relative 2e-15 (1 + alpha + beta),
+        # the error of the double log-gamma in jacobi_weight_mass, which
+        # scales every weight alike (1.9e-13 at (100, 150)).
+        mpmath.mp.dps = 50
+        node_tol = max(1e-18, 8 * float(np.finfo(np.longdouble).eps))
+        a, b = mpmath.mpf(alpha), mpmath.mpf(beta)
+        for q in (1, 2, 5, 12, 20):
+            rule = gauss_jacobi_rule(alpha, beta, q)
+            scale = (
+                2 ** (a + b + 1) * mpmath.gamma(q + a + 1) * mpmath.gamma(q + b + 1)
+                / (mpmath.gamma(q + a + b + 1) * mpmath.factorial(q))
+            )
+            for node, weight in zip(rule.nodes, rule.weights):
+                x = _mp_longdouble(node)
+                for _ in range(3):
+                    x -= _mp_jacobi(q, a, b, x) / _mp_jacobi_derivative(q, a, b, x)
+                ref_w = scale / ((1 - x * x) * _mp_jacobi_derivative(q, a, b, x) ** 2)
+                assert abs(_mp_longdouble(node) - x) <= node_tol
+                assert abs(_mp_longdouble(weight) / ref_w - 1) <= 2e-15 * (1 + alpha + beta)
+
+    @pytest.mark.parametrize("alpha,beta", [(2.0, 2.0), (1.0, 6.0)])
+    def test_gram_orthonormality_at_2048(self, alpha, beta):
+        # The Golub-Welsch rule with extended-precision Newton polishing
+        # gave 8.2e-12 and 8.1e-12 here.
+        q = 2048
+        rule = gauss_jacobi_rule(alpha, beta, q)
+        x = np.asarray(rule.nodes, dtype=float)
+        w = np.asarray(rule.weights, dtype=float)
+        v = kappa_vector(JacobiParams(alpha, beta), q - 1)[:, None] * jacobi_table(
+            alpha, beta, q - 1, x
+        )
+        gram = (v * w) @ v.T
+        assert np.abs(gram - np.eye(q)).max() <= 9.2e-12
+
+    def test_memory_is_linear_in_the_size(self):
+        gauss_jacobi_rule(2.0, 2.0, 8)
+        tracemalloc.start()
+        try:
+            gauss_jacobi_rule(2.0, 2.0, 4096)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # A (Q+1) x Q longdouble table alone would be 268 MB.
+        assert peak <= 8 * 2**20
+
+    @pytest.mark.parametrize(
+        "start",
+        [lambda n: np.linspace(-0.5, 0.5, n), lambda n: np.zeros(n), lambda n: np.full(n, 5.0)],
+    )
+    def test_bad_start_raises(self, monkeypatch, start):
+        monkeypatch.setattr(
+            specfun, "eigh_tridiagonal", lambda d, e, **kwargs: start(d.size)
+        )
+        with pytest.raises(ConvergenceError):
+            gauss_jacobi_rule(2.0, 3.0, 20)
+
+    def test_unordered_nodes_raise(self, monkeypatch):
+        # The right eigenvalues in the wrong order converge, but not to a rule.
+        eigh = specfun.eigh_tridiagonal
+        monkeypatch.setattr(
+            specfun, "eigh_tridiagonal", lambda d, e, **kwargs: eigh(d, e, **kwargs)[::-1]
+        )
+        with pytest.raises(ConvergenceError, match="increasing"):
+            gauss_jacobi_rule(2.0, 3.0, 20)
+
+    def test_nodes_and_weights_are_read_only(self):
+        rule = gauss_jacobi_rule(1.5, 0.5, 6)
+        with pytest.raises(ValueError):
+            rule.nodes[0] = 0.0
+        with pytest.raises(ValueError):
+            rule.weights[0] = 1.0
+        nodes = np.linspace(-0.5, 0.5, 3)
+        rule = specfun.QuadratureRule(nodes=nodes, weights=np.ones(3), alpha=0.0, beta=0.0)
+        nodes[0] = 0.9  # the caller's array stays writeable and is not shared
+        assert rule.nodes[0] == -0.5
+
+
+def _mp_longdouble(v):
+    """A longdouble as an exact mpmath number."""
+    hi = float(v)
+    return mpmath.mpf(hi) + mpmath.mpf(float(np.longdouble(v) - np.longdouble(hi)))
+
+
+def _mp_jacobi(n, a, b, x):
+    """P_n^(a,b)(x) by the three-term recurrence in mpmath arithmetic."""
+    if n == 0:
+        return mpmath.mpf(1)
+    pm1, p = mpmath.mpf(1), ((a + b + 2) * x + a - b) / 2
+    s = a + b
+    for k in range(1, n):
+        a0 = 2 * (k + 1) * (k + s + 1) * (2 * k + s)
+        a1 = (2 * k + s + 1) * ((2 * k + s) * (2 * k + s + 2) * x + a * a - b * b)
+        a2 = 2 * (k + a) * (k + b) * (2 * k + s + 2)
+        p, pm1 = (a1 * p - a2 * pm1) / a0, p
+    return p
+
+
+def _mp_jacobi_derivative(n, a, b, x):
+    return (n + a + b + 1) / 2 * _mp_jacobi(n - 1, a + 1, b + 1, x)
 
 
 class TestHyperPfq:

@@ -2,6 +2,7 @@
 
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -87,6 +88,74 @@ class TestExpand:
     def test_non_finite_samples_rejected(self):
         with pytest.raises(ValueError):
             expand(P22, lambda x: float("nan"), 4)
+        with pytest.raises(ValueError):
+            expand(P22, lambda x: x * np.nan, 4)
+        with pytest.raises(ValueError):
+            expand(P22, lambda x: np.inf if x > 0.5 else 0.0, 4)
+
+    def test_array_function_is_called_once(self):
+        calls = []
+
+        def f(x):
+            calls.append(np.shape(x))
+            return (1.0 - x * x) ** 2 * np.cos(2.0 * x)
+
+        expand(P42, f, 40)
+        assert calls == [(80,)]
+
+    @pytest.mark.parametrize(
+        "scalar_f,array_f",
+        [
+            (
+                lambda x: math.sin(3.0 * x) * (1.0 - x * x),
+                lambda x: np.vectorize(math.sin)(3.0 * x) * (1.0 - x * x),
+            ),
+            (
+                lambda x: (1.0 - x) ** 2 if x > 0.2 else (1.0 + x) * 0.64 / 1.2,
+                lambda x: np.where(x > 0.2, (1.0 - x) ** 2, (1.0 + x) * 0.64 / 1.2),
+            ),
+            # Returns a scalar for an array: the wrong shape, so a fallback.
+            (lambda x: float(np.max(x)) ** 2, lambda x: np.asarray(x, dtype=float) ** 2),
+        ],
+    )
+    def test_scalar_function_falls_back_to_one_call_per_node(self, scalar_f, array_f):
+        calls = []
+
+        def counted(x):
+            calls.append(np.ndim(x))
+            return scalar_f(x)
+
+        u = expand(P42, counted, 40)
+        assert calls[0] == 1 and calls[1:] == [0] * 80
+        assert np.array_equal(u.coeffs, expand(P42, array_f, 40).coeffs)
+
+    def test_streamed_sums_equal_the_table_product(self):
+        # Streaming the recurrence changes memory, not results: the same
+        # longdouble rows and dot products as the full N x Q table.
+        from ssjacobi.jacobidiff import kappa_vector
+        from ssjacobi.specfun import jacobi_table
+
+        f = lambda x: (1.0 - x) ** 2 * (1.0 + x) * np.exp(x)
+        n_size = 50
+        rule = gauss_jacobi_rule(4.0, 2.0, 2 * n_size)
+        samples = np.asarray(f(rule.nodes), dtype=float)
+        ratio = samples / ((1.0 - rule.nodes) ** 2.0 * (1.0 + rule.nodes) ** 1.0)
+        table = jacobi_table(4.0, 2.0, n_size - 1, rule.nodes)
+        ref = kappa_vector(P42, n_size - 1) * (table @ (rule.weights * ratio))
+        assert table.dtype == np.longdouble
+        assert np.array_equal(expand(P42, f, n_size).coeffs, ref.astype(float))
+
+    def test_memory_is_linear_in_the_sizes(self):
+        f = lambda x: (1.0 - x * x) ** 2 * np.sin(3.0 * x)
+        expand(P22, f, 8)
+        tracemalloc.start()
+        try:
+            expand(P22, f, 2048)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # An N x Q longdouble table alone would be 134 MB.
+        assert peak <= 8 * 2**20
 
     def test_plancherel(self):
         f = lambda x: (1.0 - x * x) ** 2 * (1.0 + 0.5 * x)
