@@ -24,14 +24,6 @@ EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 
-_SOURCE_MAP = {
-    "closed-form": "closed_form",
-    "recurrence": "recurrence",
-    "oracle": "quadrature_oracle",
-    "generators": "generators",
-}
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Validated options of one CLI invocation."""
@@ -57,12 +49,11 @@ class RunConfig:
             raise DomainError(f"dt must be > 0, got {self.dt!r}")
         if self.steps < 0:
             raise DomainError(f"steps must be >= 0, got {self.steps}")
-        # Parameter validation (alpha, beta > 0) happens here too.
-        object.__setattr__(self, "params", JacobiParams(self.alpha, self.beta))
+        JacobiParams(self.alpha, self.beta)  # raises DomainError unless alpha, beta > 0
 
     @property
     def jacobi(self) -> JacobiParams:
-        return self.params  # type: ignore[attr-defined]
+        return JacobiParams(self.alpha, self.beta)
 
 
 def cmd_gen(config: RunConfig) -> int:
@@ -113,7 +104,7 @@ def cmd_verify(config: RunConfig) -> int:
         },
     }
     rng = np.random.default_rng(config.seed)
-    sources = ("closed_form", "recurrence", "quadrature_oracle", "generators")
+    sources = jacobidiff.SOURCES
     mats = {s: jacobidiff.build(params, n, s).dense() for s in sources}
 
     route_err = max(
@@ -138,16 +129,17 @@ def cmd_verify(config: RunConfig) -> int:
 
     dmat = mats["generators"]
     g = semisep.skew_expand(jacobidiff.generators(params, n))
-    sv_worst = 0.0
-    for _ in range(20):
-        i = int(rng.integers(1, n - 1))
-        j = int(rng.integers(i + 1, n))
-        sub = dmat[:i, j:]
-        if min(sub.shape) >= 3:
-            sv = np.linalg.svd(sub, compute_uv=False)
-            if sv[0] > 0:
-                sv_worst = max(sv_worst, float(sv[2] / sv[0]))
-    _check(report, "rank2_structure", sv_worst, 1e-10)
+    if n >= 3:  # the draws pick 1 <= i <= n - 2 < j
+        sv_worst = 0.0
+        for _ in range(20):
+            i = int(rng.integers(1, n - 1))
+            j = int(rng.integers(i + 1, n))
+            sub = dmat[:i, j:]
+            if min(sub.shape) >= 3:
+                sv = np.linalg.svd(sub, compute_uv=False)
+                if sv[0] > 0:
+                    sv_worst = max(sv_worst, float(sv[2] / sv[0]))
+        _check(report, "rank2_structure", sv_worst, 1e-10)
 
     g2 = semisep.product(g, g)
     _check(
@@ -332,7 +324,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", type=int, default=32)
 
     def add_source(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--source", choices=sorted(_SOURCE_MAP), default="generators")
+        p.add_argument("--source", choices=jacobidiff.SOURCES, default="generators")
 
     pg = sub.add_parser("gen", help="write a matrix or generator artifact")
     add_params(pg)
@@ -364,10 +356,7 @@ def main(argv=None) -> int:
         # argparse exits with 2 on usage errors already.
         return int(exc.code or 0)
     try:
-        options = vars(args)
-        if "source" in options:
-            options["source"] = _SOURCE_MAP[options["source"]]
-        config = RunConfig(**options)
+        config = RunConfig(**vars(args))
     except (DomainError, ValueError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -62,27 +62,9 @@ class InternalConsistencyError(ArithmeticError):
     """Two routes to the same quantity disagree beyond tolerance."""
 
 
-def kappa(params: JacobiParams, n: int) -> float:
-    """Normalization constant making kappa_n P_n^(a,b) orthonormal."""
-    if n < 0:
-        raise DomainError(f"n must be >= 0, got {n}")
-    a, b = params.alpha, params.beta
-    s = a + b
-    return math.exp(
-        0.5
-        * (
-            math.log(2 * n + s + 1)
-            + log_gamma(n + s + 1)
-            + log_gamma(n + 1)
-            - (s + 1) * math.log(2.0)
-            - log_gamma(n + a + 1)
-            - log_gamma(n + b + 1)
-        )
-    )
-
-
 def kappa_vector(params: JacobiParams, nmax: int) -> np.ndarray:
-    """kappa_0 .. kappa_nmax as an array."""
+    """Normalization constants kappa_0 .. kappa_nmax making kappa_n P_n^(a,b)
+    orthonormal."""
     a, b = params.alpha, params.beta
     s = a + b
     n = np.arange(nmax + 1, dtype=float)
@@ -97,6 +79,13 @@ def kappa_vector(params: JacobiParams, nmax: int) -> np.ndarray:
             - gammaln(n + b + 1)
         )
     )
+
+
+def kappa(params: JacobiParams, n: int) -> float:
+    """kappa_n: entry n of ``kappa_vector``."""
+    if n < 0:
+        raise DomainError(f"n must be >= 0, got {n}")
+    return float(kappa_vector(params, n)[n])
 
 
 def t_s_integrals(params: JacobiParams, m: int) -> tuple[float, float]:
@@ -227,13 +216,18 @@ def dtilde_lower_triangle(params: JacobiParams, n_size: int) -> np.ndarray:
     return out
 
 
+def _normative_entry(params: JacobiParams) -> float:
+    """The normative lower-triangle entry D[1, 0] that pins the global signs."""
+    k0, k1 = kappa_vector(params, 1)
+    return k1 * k0 * dtilde_first_column(params, 1)
+
+
 @lru_cache(maxsize=None)
 def _closed_form_sign(alpha: float, beta: float) -> float:
     """Global sign pinning the closed form to the normative lower triangle."""
     params = JacobiParams(alpha, beta)
-    normative = kappa(params, 1) * kappa(params, 0) * dtilde_first_column(params, 1)
     raw = _closed_form_lower(params, np.array([1]), np.array([0]))[0]
-    return -1.0 if normative * raw < 0 else 1.0
+    return -1.0 if _normative_entry(params) * raw < 0 else 1.0
 
 
 def _closed_form_lower(params: JacobiParams, m, n) -> np.ndarray:
@@ -274,39 +268,26 @@ def d_entry_closed_form(params: JacobiParams, m: int, n: int) -> float:
     return float(-sgn * _closed_form_lower(params, np.array([n]), np.array([m]))[0])
 
 
-def _closed_form_dense(params: JacobiParams, n_size: int) -> np.ndarray:
-    rows, cols = np.tril_indices(n_size, k=-1)
-    lower = _closed_form_sign(params.alpha, params.beta) * _closed_form_lower(
-        params, rows, cols
-    )
-    dense = np.zeros((n_size, n_size))
-    dense[rows, cols] = lower
-    return dense - dense.T
-
-
 def _generator_vectors(params: JacobiParams, n_size: int):
-    """Uncalibrated rank-2 generator vectors of the differentiation matrix."""
-    a, b = params.alpha, params.beta
-    s = a + b
+    """Uncalibrated rank-2 generator vectors of the differentiation matrix.
+
+    The second a- and b-vectors are the magnitudes of the first ones with
+    alpha and beta swapped.
+    """
     m = np.arange(n_size, dtype=float)
     alt = np.where(np.arange(n_size) % 2 == 0, 1.0, -1.0)
-    a1 = -alt * 0.5 * np.exp(
-        -0.5 * gammaln(m + 1)
-        + 0.5 * (np.log(2 * m + s + 1) + gammaln(m + b + 1) + gammaln(m + s + 1) - gammaln(m + a + 1))
-    )
-    b1 = alt * 0.5 * np.exp(
-        0.5 * gammaln(m + 1)
-        + 0.5 * (np.log(2 * m + s + 1) + gammaln(m + a + 1) - gammaln(m + b + 1) - gammaln(m + s + 1))
-    )
-    a2 = 0.5 * np.exp(
-        -0.5 * gammaln(m + 1)
-        + 0.5 * (np.log(2 * m + s + 1) + gammaln(m + a + 1) + gammaln(m + s + 1) - gammaln(m + b + 1))
-    )
-    b2 = 0.5 * np.exp(
-        0.5 * gammaln(m + 1)
-        + 0.5 * (np.log(2 * m + s + 1) + gammaln(m + b + 1) - gammaln(m + a + 1) - gammaln(m + s + 1))
-    )
-    return np.vstack([a1, a2]), np.vstack([b1, b2])
+    lg_m = 0.5 * gammaln(m + 1)
+
+    def magnitudes(p, q):
+        s = p + q
+        log_2m = np.log(2 * m + s + 1)
+        a_mag = np.exp(-lg_m + 0.5 * (log_2m + gammaln(m + q + 1) + gammaln(m + s + 1) - gammaln(m + p + 1)))
+        b_mag = np.exp(lg_m + 0.5 * (log_2m + gammaln(m + p + 1) - gammaln(m + q + 1) - gammaln(m + s + 1)))
+        return a_mag, b_mag
+
+    a1, b1 = magnitudes(params.alpha, params.beta)
+    a2, b2 = magnitudes(params.beta, params.alpha)
+    return np.vstack([-alt * 0.5 * a1, 0.5 * a2]), np.vstack([alt * 0.5 * b1, 0.5 * b2])
 
 
 @lru_cache(maxsize=None)
@@ -316,8 +297,7 @@ def generator_sign_flipped(alpha: float, beta: float) -> bool:
     avec, bvec = _generator_vectors(params, 2)
     # Lower-triangle entry (1, 0) of the skew expansion is b_1 . (-a_0).
     raw = float(bvec[:, 1] @ (-avec[:, 0]))
-    normative = kappa(params, 1) * kappa(params, 0) * dtilde_first_column(params, 1)
-    return raw * normative < 0
+    return raw * _normative_entry(params) < 0
 
 
 def generators(params: JacobiParams, n_size: int) -> SkewGeneratorPair:
@@ -378,9 +358,21 @@ def oracle_matrix(
         table = jacobi_table(a, b, n_size - 1, rule.nodes.astype(np.longdouble))
         grams.append((table * rule.weights.astype(np.longdouble)) @ table.T)
     dtilde = (0.5 * a * grams[0] - 0.5 * b * grams[1]).astype(float)
-    kvec = kappa_vector(params, n_size - 1)
-    dmat = np.tril(kvec[:, None] * kvec[None, :] * dtilde, k=-1)
-    return dmat - dmat.T
+    return _skew(_scaled_lower(params, dtilde), n_size)
+
+
+def _scaled_lower(params: JacobiParams, dtilde: np.ndarray) -> np.ndarray:
+    """kappa_m kappa_n dtilde[m, n] on the strict lower triangle, packed row-major."""
+    rows, cols = np.tril_indices(dtilde.shape[0], k=-1)
+    kvec = kappa_vector(params, dtilde.shape[0] - 1)
+    return kvec[rows] * kvec[cols] * dtilde[rows, cols]
+
+
+def _skew(lower_packed: np.ndarray, n_size: int) -> np.ndarray:
+    """The skew-symmetric N x N matrix with the given packed strict lower triangle."""
+    dense = np.zeros((n_size, n_size))
+    dense[np.tril_indices(n_size, k=-1)] = lower_packed
+    return dense - dense.T
 
 
 _SUM_MAX_TERMS = 10_000
@@ -411,20 +403,15 @@ def boundedness_sums(params: JacobiParams) -> tuple[float, float, float]:
     a, b = params.alpha, params.beta
     c = a + b + 1.0
 
-    def b1_sq(n):
-        return 0.25 * (2 * n + c) * math.exp(
-            log_gamma(n + a + 1) - log_gamma(n + b + 1) - log_gamma(n + c)
-        )
-
-    def b2_sq(n):
-        return 0.25 * (2 * n + c) * math.exp(
-            log_gamma(n + b + 1) - log_gamma(n + a + 1) - log_gamma(n + c)
+    def square(x, y):  # terms of sum b1^2; sum b2^2 swaps alpha and beta
+        return lambda n: 0.25 * (2 * n + c) * math.exp(
+            log_gamma(n + x + 1) - log_gamma(n + y + 1) - log_gamma(n + c)
         )
 
     def b1_b2(n):
         return (-1.0) ** n * 0.25 * (2 * n + c) * math.exp(-log_gamma(n + c))
 
-    direct = (_direct_series(b1_sq), _direct_series(b1_b2), _direct_series(b2_sq))
+    direct = (_direct_series(square(a, b)), _direct_series(b1_b2), _direct_series(square(b, a)))
 
     def mixed_pair(x, y):
         lead = 0.25 * c * math.exp(log_gamma(x + 1) - log_gamma(y + 1) - log_gamma(c))
@@ -477,10 +464,7 @@ class DiffMatrixBuild:
     def dense(self) -> np.ndarray:
         if self.pair is not None:
             return skew_expand(self.pair).to_dense()
-        dense = np.zeros((self.n, self.n))
-        rows, cols = np.tril_indices(self.n, k=-1)
-        dense[rows, cols] = self.lower_packed
-        return dense - dense.T
+        return _skew(self.lower_packed, self.n)
 
     def _generators(self):
         """The expanded generators of the pair; built once."""
@@ -512,40 +496,25 @@ class DiffMatrixBuild:
         return factors[s].solve(rhs)
 
 
-def _pack_lower(dense_lower: np.ndarray) -> np.ndarray:
-    rows, cols = np.tril_indices(dense_lower.shape[0], k=-1)
-    return dense_lower[rows, cols]
-
-
 def build(params: JacobiParams, n_size: int, source: str) -> DiffMatrixBuild:
     """Construct the differentiation matrix by the requested route."""
     if n_size < 1:
         raise DomainError(f"size must be >= 1, got {n_size}")
     if source not in SOURCES:
         raise ValueError(f"unknown source {source!r}; expected one of {SOURCES}")
-    meta: dict = {}
     if source == "generators":
-        pair = generators(params, n_size)
-        meta["b_sign_flipped"] = generator_sign_flipped(params.alpha, params.beta)
+        meta = {"b_sign_flipped": generator_sign_flipped(params.alpha, params.beta)}
         return DiffMatrixBuild(
-            params=params, n=n_size, source=source, pair=pair, metadata=meta
+            params=params, n=n_size, source=source, pair=generators(params, n_size), metadata=meta
         )
+    rows, cols = np.tril_indices(n_size, k=-1)
     if source == "closed_form":
-        dense = _closed_form_dense(params, n_size)
+        lower = _closed_form_sign(params.alpha, params.beta) * _closed_form_lower(params, rows, cols)
     elif source == "recurrence":
-        kvec = kappa_vector(params, n_size - 1)
-        dtilde = dtilde_lower_triangle(params, n_size)
-        low = np.tril(kvec[:, None] * kvec[None, :] * dtilde, k=-1)
-        dense = low - low.T
+        lower = _scaled_lower(params, dtilde_lower_triangle(params, n_size))
     else:
-        dense = oracle_matrix(params, n_size)
-    return DiffMatrixBuild(
-        params=params,
-        n=n_size,
-        source=source,
-        lower_packed=_pack_lower(dense),
-        metadata=meta,
-    )
+        lower = oracle_matrix(params, n_size)[rows, cols]
+    return DiffMatrixBuild(params=params, n=n_size, source=source, lower_packed=lower)
 
 
 def write_dense_csv(build_result: DiffMatrixBuild, path) -> None:

@@ -146,16 +146,15 @@ class SemiSepGenerators:
             dense[il] = lower[il]
         return dense
 
-    def diagonals(self, offsets) -> dict[int, np.ndarray]:
+    def diagonals(self, offsets) -> np.ndarray:
         """Full-length diagonals of the matrix, zero-padded outside range.
 
-        Returned arrays are indexed by row: diag[k][m] = A[m, m+k] for
-        valid m, zero elsewhere.
+        Row i holds the diagonal at offset k = offsets[i], indexed by
+        matrix row: out[i, m] = A[m, m+k] for valid m, zero elsewhere.
         """
-        out = {}
         n = self.n
-        for k in offsets:
-            diag = np.zeros(n)
+        out = np.zeros((len(offsets), n))
+        for diag, k in zip(out, offsets):
             if k == 0:
                 diag[:] = self.c
             elif self.rank and abs(k) < n:
@@ -163,7 +162,6 @@ class SemiSepGenerators:
                     diag[: n - k] = np.einsum("im,im->m", self.a[:, : n - k], self.b[:, k:])
                 else:
                     diag[-k:] = np.einsum("im,im->m", self.d[:, -k:], self.e[:, : n + k])
-            out[k] = diag
         return out
 
 
@@ -391,26 +389,19 @@ class BandedMatrix:
         return x
 
 
-def _annihilation_coeffs(gen: np.ndarray, direction: int, n: int, r: int):
-    """Coefficients expressing gen[:, m] in the r rows after (or before) m.
+def _annihilation_coeffs(gen: np.ndarray, n: int, r: int):
+    """Coefficients expressing gen[:, m] in the r rows before m.
 
-    direction +1: x solves gen[:, m] = sum_j x_j gen[:, m+1+j] for
-    m = 0 .. n-1-r.  direction -1: for m = r .. n-1 against rows m-1-j.
+    x solves gen[:, m] = sum_j x_j gen[:, m-1-j] for m = r .. n-1.
     Returns an (n, r) array, zero-filled on unprocessed rows.
     """
     gen = np.asarray(gen, dtype=float)  # local solves run in double
     x = np.zeros((n, r))
-    if r == 0:
+    rows = np.arange(r, n)
+    if r == 0 or rows.size == 0:
         return x
-    if direction > 0:
-        rows = np.arange(0, n - r)
-        idx = rows[:, None] + 1 + np.arange(r)[None, :]
-    else:
-        rows = np.arange(r, n)
-        idx = rows[:, None] - 1 - np.arange(r)[None, :]
-    if rows.size == 0:
-        return x
-    # Local systems G @ x = rhs with G[i, j] = gen[i, m +- (1+j)].
+    idx = rows[:, None] - 1 - np.arange(r)[None, :]
+    # Local systems G @ x = rhs with G[i, j] = gen[i, m-1-j].
     G = gen[:, idx].transpose(1, 0, 2)          # (rows, r, r)
     rhs = gen[:, rows].T                         # (rows, r)
     try:
@@ -435,7 +426,7 @@ def _annihilation_coeffs(gen: np.ndarray, direction: int, n: int, r: int):
 
 
 def reduce_to_banded(
-    g: SemiSepGenerators, shift: float, rhs: np.ndarray
+    g: SemiSepGenerators, shift: float
 ) -> tuple[BandedMatrix, np.ndarray, np.ndarray]:
     """Eliminate the generator structure of M = shift*I + A down to a band.
 
@@ -454,27 +445,21 @@ def reduce_to_banded(
     |p| <= r needs only the diagonals of M at offsets -2r .. r, which are
     read off the generators directly.
 
-    Returns the 2r+1-diagonal band B, the row-transformed right side
-    T rhs, and the column coefficients needed to map the banded solution
-    z back to x = C z.
+    Returns the 2r+1-diagonal band B and the (n, r) row and column
+    coefficients, T[m, m-i] = -row_coeffs[m, i-1] and
+    C[k-j, k] = -col_coeffs[k, j-1]: (shift*I + A) x = rhs is then
+    B z = T rhs with x = C z.
     """
     n, r = g.n, g.rank
-    rhs = np.asarray(rhs, dtype=float)
-    if rhs.shape != (n,):
-        raise ValueError(f"rhs length {rhs.shape} does not match size {n}")
-    if r == 0:
-        bands = (g.c + shift)[None, :].copy()
-        return BandedMatrix(n=n, p=0, q=0, bands=bands), rhs.copy(), np.zeros((n, 0))
-
-    x = _annihilation_coeffs(g.b, -1, n, r)      # (n, r), zero for k < r
-    y = _annihilation_coeffs(g.d, -1, n, r)      # (n, r), zero for m < r
+    x = _annihilation_coeffs(g.b, n, r)          # (n, r), zero for k < r
+    y = _annihilation_coeffs(g.d, n, r)          # (n, r), zero for m < r
     # Rows of C and T, zero-padded by r on both sides so that every shift
     # below is a plain slice: cx[j, r+k] = C[k-j, k], ty[i, r+m] = T[m, m-i].
     cx = np.zeros((r + 1, n + 2 * r))
     cx[:, r : r + n] = np.vstack([np.ones(n), -x.T])
     ty = np.zeros_like(cx)
     ty[:, r : r + n] = np.vstack([np.ones(n), -y.T])
-    md = np.array(list(g.diagonals(range(-2 * r, r + 1)).values()))  # md[2r+k, m] = M[m, m+k]
+    md = g.diagonals(range(-2 * r, r + 1))       # md[2r+k, m] = M[m, m+k]
     md[2 * r] += shift
     mc = np.zeros((2 * r + 1, n + 2 * r))        # mc[r+q, r+m] = (M C)[m, m+q]
     for q in range(-r, r + 1):
@@ -485,7 +470,7 @@ def reduce_to_banded(
         for i in range(min(r, r - p) + 1):       # B[k-p, k] += T[k-p, k-p-i] (M C)[k-p-i, k]
             lo = r - p - i
             bands[r - p] += ty[i, r - p : r - p + n] * mc[r + p + i, lo : lo + n]
-    return BandedMatrix(n=n, p=r, q=r, bands=bands), _row_transform(y, rhs), x
+    return BandedMatrix(n=n, p=r, q=r, bands=bands), y, x
 
 
 def _row_transform(row_coeffs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -513,14 +498,11 @@ class ShiftedSolver:
     """
 
     def __init__(self, g: SemiSepGenerators, shift: float):
-        n, r = g.n, g.rank
+        r = g.rank
         self.g = g
         self.shift = float(shift)
-        banded, _, self.col_coeffs = reduce_to_banded(g, shift, np.zeros(n))
-        # reduce_to_banded applies the row transform but does not return
-        # it; its coefficients are the annihilation solve on d.
-        self.row_coeffs = _annihilation_coeffs(g.d, -1, n, r)
-        ab = np.zeros((3 * r + 1, n))
+        banded, self.row_coeffs, self.col_coeffs = reduce_to_banded(g, shift)
+        ab = np.zeros((3 * r + 1, g.n))
         ab[r:, :] = banded.bands
         self.lu, self.piv, info = dgbtrf(ab, r, r)
         if info < 0:  # pragma: no cover

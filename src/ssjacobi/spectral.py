@@ -63,14 +63,20 @@ def _sqrt_weight(params: JacobiParams, x: np.ndarray) -> np.ndarray:
     return (1.0 - x) ** (params.alpha / 2.0) * (1.0 + x) ** (params.beta / 2.0)
 
 
+def _domain_points(x) -> np.ndarray:
+    """x as a double array of points in [-1, 1]."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if np.any(np.abs(x) > 1.0):
+        raise DomainError("evaluation points must lie in [-1, 1]")
+    return x
+
+
 def wfun_table(params: JacobiParams, nmax: int, x) -> np.ndarray:
     """Basis values phi_0 .. phi_nmax at the points x, shape (nmax+1, len(x)).
 
     Points must lie in [-1, 1]; the endpoint value is 0.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(np.abs(x) > 1.0):
-        raise DomainError("evaluation points must lie in [-1, 1]")
+    x = _domain_points(x)
     table = jacobi_table(params.alpha, params.beta, nmax, x)
     kvec = kappa_vector(params, nmax)
     return kvec[:, None] * table * _sqrt_weight(params, x)[None, :]
@@ -125,9 +131,17 @@ def expand(params: JacobiParams, f, n_size: int) -> CoeffVector:
 
 
 def reconstruct(u: CoeffVector, x) -> np.ndarray:
-    """Pointwise values sum_n u_n phi_n(x) of the represented truncation."""
-    table = wfun_table(u.params, u.n - 1, x)
-    vals = u.coeffs @ table
+    """Pointwise values sum_n u_n phi_n(x) of the represented truncation.
+
+    Points must lie in [-1, 1].  The Jacobi polynomials are streamed over
+    the points one degree at a time, so memory is O(N + len(x)).
+    """
+    pts = _domain_points(x)
+    scaled = u.coeffs * kappa_vector(u.params, u.n - 1)
+    vals = np.zeros_like(pts)
+    for c, row in zip(scaled, jacobi_rows(u.params.alpha, u.params.beta, u.n - 1, pts)):
+        vals += c * row
+    vals *= _sqrt_weight(u.params, pts)
     return float(vals[0]) if np.ndim(x) == 0 else vals
 
 

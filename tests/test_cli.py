@@ -39,7 +39,7 @@ class TestGen:
 
     def test_json_requires_generator_source(self, tmp_path):
         out = tmp_path / "g.json"
-        assert run(["gen", "--format", "json", "--source", "oracle",
+        assert run(["gen", "--format", "json", "--source", "quadrature_oracle",
                     "--out", str(out)]) == 2
 
     def test_deterministic_output(self, tmp_path):
@@ -64,6 +64,21 @@ class TestGen:
     def test_unknown_source_is_usage_error(self, tmp_path):
         assert run(["gen", "--source", "magic",
                     "--out", str(tmp_path / "x.csv")]) == 2
+
+    @pytest.mark.parametrize("source", jacobidiff.SOURCES)
+    def test_sources_are_the_library_route_names(self, source, tmp_path):
+        out = tmp_path / "d.csv"
+        assert run(["gen", "--n", "6", "--source", source, "--out", str(out)]) == 0
+        with open(out, newline="") as fh:
+            dense = np.array([[float(v) for v in row] for row in csv.reader(fh)])
+        ref = jacobidiff.build(JacobiParams(2.0, 2.0), 6, "generators").dense()
+        assert np.abs(dense - ref).max() <= 1e-13
+
+    @pytest.mark.parametrize("source", ["closed-form", "oracle"])
+    def test_other_spellings_are_usage_errors(self, source, tmp_path, capsys):
+        assert run(["gen", "--source", source, "--out", str(tmp_path / "x.csv")]) == 2
+        assert "invalid choice" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_unwritable_path(self, capsys):
         assert run(["gen", "--out", "/nonexistent-dir/x.csv"]) == 1
@@ -118,6 +133,17 @@ class TestVerify:
         assert not report["checks"]["against_file_agreement"]["pass"]
         assert "FAIL against_file_agreement" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_smallest_sizes(self, n, tmp_path):
+        out = tmp_path / "report.json"
+        assert run(["verify", "--n", str(n), "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["n"] == n
+        # The rank-2 check draws blocks above the diagonal; below n = 3
+        # there is none to draw, so the check is left out.
+        assert ("rank2_structure" in report["checks"]) == (n >= 3)
+        assert all(c["pass"] for c in report["checks"].values())
+
     def test_against_wrong_size_file(self, tmp_path):
         gfile = tmp_path / "g.json"
         run(["gen", "--n", "8", "--format", "json", "--source", "generators",
@@ -151,7 +177,7 @@ class TestDemo:
         run(["demo", "diffusion", "--n", "32", "--steps", "20",
              "--source", "generators", "--out", str(a)])
         run(["demo", "diffusion", "--n", "32", "--steps", "20",
-             "--source", "closed-form", "--out", str(b)])
+             "--source", "closed_form", "--out", str(b)])
         na = np.array([float(r[2]) for r in list(csv.reader(open(a)))[1:]])
         nb = np.array([float(r[2]) for r in list(csv.reader(open(b)))[1:]])
         assert np.abs(na - nb).max() <= 1e-9
@@ -173,6 +199,13 @@ class TestDemo:
 
     def test_unknown_problem_is_usage_error(self):
         assert run(["demo", "oscillation"]) == 2
+
+
+class TestRunConfig:
+    def test_jacobi_is_derived_from_alpha_and_beta(self):
+        config = cli.RunConfig(command="gen", alpha=3.0, beta=0.5)
+        assert config.jacobi == JacobiParams(3.0, 0.5)
+        assert not hasattr(config, "params")
 
 
 class TestParser:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ssjacobi import jacobidiff
+from ssjacobi import jacobidiff, semisep
 from ssjacobi.semisep import (
     DENSE_CAP,
     BandedMatrix,
@@ -326,20 +326,22 @@ class TestSolveStructured:
             solve_structured(g, 0.0, np.ones(3))
 
 
-def dense_reduction_factors(g, shift, rhs):
+def dense_reduction_factors(g, shift):
     """Dense T, M and C of the reduction, built from what it returns.
 
-    C is unit upper banded with C[k-j, k] = -col_coeffs[k, j-1]; T is
-    linear in the right side, so its columns are T e_k.
+    T is unit lower banded with T[m, m-i] = -row_coeffs[m, i-1], and C is
+    unit upper banded with C[k-j, k] = -col_coeffs[k, j-1].
     """
-    banded, rhs2, col_coeffs = reduce_to_banded(g, shift, rhs)
+    banded, row_coeffs, col_coeffs = reduce_to_banded(g, shift)
     n, r = col_coeffs.shape
+    assert row_coeffs.shape == (n, r)
+    t_mat = np.eye(n)
     c_mat = np.eye(n)
     for j in range(1, min(r, n - 1) + 1):
+        t_mat -= np.diag(row_coeffs[j:, j - 1], -j)
         c_mat -= np.diag(col_coeffs[j:, j - 1], j)
-    t_mat = np.column_stack([reduce_to_banded(g, shift, e)[1] for e in np.eye(n)])
     m_mat = shift * np.eye(n) + np.asarray(g.to_dense(), dtype=float)
-    return banded, rhs2, t_mat, m_mat, c_mat
+    return banded, row_coeffs, t_mat, m_mat, c_mat
 
 
 class TestReduceToBanded:
@@ -348,9 +350,10 @@ class TestReduceToBanded:
 
     @staticmethod
     def check(g, shift, rhs):
-        banded, rhs2, t_mat, m_mat, c_mat = dense_reduction_factors(g, shift, rhs)
+        banded, row_coeffs, t_mat, m_mat, c_mat = dense_reduction_factors(g, shift)
         n, r = g.n, g.rank
         assert (banded.p, banded.q) == (r, r)
+        rhs2 = semisep._row_transform(row_coeffs, rhs)
         assert np.all(np.abs(rhs2 - t_mat @ rhs) <= 1e-13 * (np.abs(t_mat) @ np.abs(rhs)))
         prod = t_mat @ m_mat @ c_mat
         # Entrywise roundoff scale of the triple product.  Entries of M
@@ -384,8 +387,8 @@ class TestReduceToBanded:
 
 def reference_solve(g, shift, rhs):
     """The unfactored solve: reduce, gbsv on the band, column back-map."""
-    banded, rhs2, col_coeffs = reduce_to_banded(g, shift, rhs)
-    z = banded.solve(rhs2)
+    banded, row_coeffs, col_coeffs = reduce_to_banded(g, shift)
+    z = banded.solve(semisep._row_transform(row_coeffs, rhs))
     x = z.copy()
     for j in range(1, min(g.rank, g.n - 1) + 1):
         x[:-j] -= col_coeffs[j:, j - 1] * z[j:]
@@ -439,6 +442,21 @@ class TestShiftedSolver:
     def test_growth_of_differentiation_operator_is_contracting(self):
         g = skew_expand(jacobidiff.generators(JacobiParams(4.0, 2.0), 1024))
         assert ShiftedSolver(scale(g, -0.5), 1.0).growth <= 1.0
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_one_reduction_and_two_coefficient_solves(self, rank, monkeypatch):
+        calls = {"reduce_to_banded": 0, "_annihilation_coeffs": 0}
+        for name in calls:
+            original = getattr(semisep, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(semisep, name, counting)
+        g = random_generators(12, rank, np.random.default_rng(rank))
+        ShiftedSolver(g, 50.0)
+        assert calls == {"reduce_to_banded": 1, "_annihilation_coeffs": 2}
 
     def test_rejects_wrong_rhs_length(self):
         solver = ShiftedSolver(random_generators(5, 2, np.random.default_rng(22)), 20.0)

@@ -182,7 +182,36 @@ class TestReconstruct:
     def test_scalar_point(self):
         u = expand(P22, lambda x: wfun_eval(P22, 1, x), 4)
         got = reconstruct(u, 0.25)
+        assert isinstance(got, float)
         assert got == pytest.approx(wfun_eval(P22, 1, 0.25), abs=1e-12)
+
+    @pytest.mark.parametrize("x", [1.5, [0.0, -1.0001]])
+    def test_outside_domain_rejected(self, x):
+        with pytest.raises(DomainError):
+            reconstruct(CoeffVector(params=P22, coeffs=np.ones(3)), x)
+
+    @pytest.mark.parametrize("params,n", [(P22, 1), (P22, 64), (P42, 1024),
+                                          (JacobiParams(12.0, 1.0), 300)])
+    def test_streamed_sum_equals_the_table_product(self, params, n):
+        rng = np.random.default_rng(n)
+        u = CoeffVector(params=params, coeffs=rng.standard_normal(n))
+        x = np.concatenate([[-1.0, 1.0], np.linspace(-1.0, 1.0, 1001)])
+        terms = u.coeffs[:, None] * wfun_table(params, n - 1, x)
+        scale_ = np.abs(terms).sum(axis=0).max()
+        assert np.abs(reconstruct(u, x) - terms.sum(axis=0)).max() <= 1e-14 * scale_
+
+    def test_memory_is_linear_in_the_sizes(self):
+        x = np.linspace(-1.0, 1.0, 1001)
+        u = CoeffVector(params=P22, coeffs=np.ones(2048))
+        reconstruct(CoeffVector(params=P22, coeffs=np.ones(8)), x)
+        tracemalloc.start()
+        try:
+            reconstruct(u, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # One N x len(x) double table alone would be 16 MB.
+        assert peak <= 8 * 2**20
 
 
 class TestDifferentiate:
