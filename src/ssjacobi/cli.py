@@ -129,17 +129,23 @@ def cmd_verify(config: RunConfig) -> int:
 
     dmat = mats["generators"]
     g = semisep.skew_expand(jacobidiff.generators(params, n))
+    # sigma_3 / sigma_1 of random blocks above the diagonal with both sides
+    # >= 3, which needs n >= 7; without one such block the check is left out.
+    measured = []
     if n >= 3:  # the draws pick 1 <= i <= n - 2 < j
-        sv_worst = 0.0
         for _ in range(20):
             i = int(rng.integers(1, n - 1))
             j = int(rng.integers(i + 1, n))
             sub = dmat[:i, j:]
             if min(sub.shape) >= 3:
                 sv = np.linalg.svd(sub, compute_uv=False)
-                if sv[0] > 0:
-                    sv_worst = max(sv_worst, float(sv[2] / sv[0]))
-        _check(report, "rank2_structure", sv_worst, 1e-10)
+                measured.append(float(sv[2] / sv[0]) if sv[0] > 0 else 0.0)
+    if measured:
+        _check(report, "rank2_structure", max(measured), 1e-10)
+    else:
+        report["notes"]["rank2_structure"] = (
+            f"left out: no drawn block above the diagonal has both sides >= 3 at n = {n}"
+        )
 
     g2 = semisep.product(g, g)
     _check(

@@ -379,12 +379,15 @@ _SUM_MAX_TERMS = 10_000
 
 
 def _direct_series(term_fn) -> float:
+    """Sum of term_fn(0), term_fn(1), ... until three terms in a row are at
+    most 1e-17 of the partial sum.  The rule is relative, so a sum far
+    below 1 is not cut short."""
     total = 0.0
     small = 0
     for n in range(_SUM_MAX_TERMS):
         t = term_fn(n)
         total += t
-        if abs(t) < 1e-14 * (1.0 + abs(total)):
+        if abs(t) <= 1e-17 * abs(total):
             small += 1
             if small >= 3:
                 return total

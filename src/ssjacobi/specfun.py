@@ -69,8 +69,10 @@ class QuadratureRule:
     """Gauss rule for the weight (1-x)^alpha (1+x)^beta on (-1, 1).
 
     ``nodes`` are strictly increasing in the open interval, ``weights``
-    strictly positive and summing to the weight's total mass.  Both are
-    stored as read-only copies.
+    positive and summing to the weight's total mass.  Both are stored as
+    read-only copies, in the dtype of the rule: longdouble by default, or
+    double (see gauss_jacobi_rule), where a weight whose true value is
+    below about 1e-308 is subnormal or 0.
     """
 
     nodes: np.ndarray
@@ -242,16 +244,37 @@ def _jacobi_matrix(alpha: float, beta: float, q: int):
     return diag, off
 
 
+# Every this many steps a sweep rescales the nodes whose Christoffel sum
+# has grown past 2^(maxexp / 2) of the sweep's dtype (see below).
+_RESCALE_EVERY = 16
+
+
 def _christoffel_sweep(diag, off, p0, x):
     """One pass of the orthonormal recurrence over the points x.
 
-    Keeps only two polynomials at a time.  Returns the Christoffel sum
-    sum_{k<q} p_k(x)^2 and the Newton correction p_q / p_q' for the zeros
-    of p_q: by Christoffel-Darboux the sum equals b_{q-1} p_q' p_{q-1} at
-    a zero, so p_q / p_q' = (b_{q-1} p_q) p_{q-1} / sum to second order.
+    Keeps only two polynomials at a time.  Returns the Gauss weights
+    1 / sum_{k<q} p_k(x)^2 and the Newton correction p_q / p_q' for the
+    zeros of p_q: by Christoffel-Darboux the sum equals b_{q-1} p_q'
+    p_{q-1} at a zero, so p_q / p_q' = (b_{q-1} p_q) p_{q-1} / sum to
+    second order.
+
+    Near the ends of (-1, 1) p_k grows like the inverse square root of
+    the weight, past what a double holds at large alpha, beta and q.  So
+    every _RESCALE_EVERY steps, at each node whose sum (which bounds p_k^2
+    and p_{k-1}^2, and only grows) exceeds 2^(maxexp / 2) of the dtype,
+    p_k and p_{k-1} are divided by a power of two 2^e near sqrt(sum) and
+    the sum by 2^(2e); the node's exponent L accumulates e.  Scaling by a
+    power of two is exact, so the results are those of an unbounded
+    exponent range: the Newton correction, a ratio, does not see the
+    scale, and the weight is 2^(-2L) / sum.  The threshold leaves p_k a
+    factor 2^(maxexp / 4) of headroom before p_k^2 overflows, 2^16 per
+    step in double.  In longdouble no rule on the tested grids gets near
+    the threshold.
     """
     q = diag.size
     b = np.concatenate(([0], off))  # b[k] = b_{k-1}, with b_{-1} = 0
+    limit = np.ldexp(x.dtype.type(1), np.finfo(x.dtype).maxexp // 2)
+    scale = np.zeros(x.shape, dtype=int)  # L: the sums are 2^(-2L) times the true ones
     p_prev = np.zeros_like(x)
     p = np.full_like(x, p0)
     ssum = p * p
@@ -264,32 +287,60 @@ def _christoffel_sweep(diag, off, p0, x):
         nxt /= b[k + 1]
         p_prev, p, nxt = p, nxt, p_prev
         ssum += p * p
+        if k % _RESCALE_EVERY == _RESCALE_EVERY - 1:
+            big = np.flatnonzero(ssum > limit)
+            if big.size:
+                e = np.frexp(ssum[big])[1] // 2
+                p[big] = np.ldexp(p[big], -e)
+                p_prev[big] = np.ldexp(p_prev[big], -e)
+                ssum[big] = np.ldexp(ssum[big], -2 * e)
+                scale[big] += e
     bq_pq = (x - diag[q - 1]) * p - b[q - 1] * p_prev
-    return ssum, bq_pq * p / ssum
+    return np.ldexp(1 / ssum, -2 * scale), bq_pq * p / ssum
 
 
-# A sweep accepts its nodes once every Newton correction is at most this.
-# On a grid of alpha in {-0.9 .. 300}, beta in {-0.9 .. 300} and Q from 1
-# to 2048 (500 rules), the corrections after one Newton step from the
-# eigenvalue start were 2.8e-20 in the median and at most 8.4e-19 (at
-# alpha = -0.9, beta = 1, Q = 2048); the bound, 6.9e-18, is 8 times that.
-_NEWTON_TOL = 64 * np.finfo(np.longdouble).eps
+# A sweep accepts its nodes once every Newton correction is at most
+# _NEWTON_ULPS ulp of its dtype.  On a grid of alpha in {-0.9 .. 300},
+# beta in {-0.9 .. 300} and Q from 1 to 2048 (500 rules), the longdouble
+# corrections after one Newton step from the eigenvalue start were
+# 2.8e-20 in the median and at most 8.4e-19 (at alpha = -0.9, beta = 1,
+# Q = 2048); the bound, 6.9e-18, is 8 times that.  In double, on 350 rules
+# of the same range, they were 5.7e-17 in the median and at most 1.1e-16,
+# against a bound of 1.4e-14; every rule took 2 sweeps in either dtype.
+_NEWTON_ULPS = 64
 _MAX_SWEEPS = 3
 
 
-def gauss_jacobi_rule(alpha: float, beta: float, n_nodes: int) -> QuadratureRule:
+def gauss_jacobi_rule(
+    alpha: float, beta: float, n_nodes: int, dtype=np.longdouble
+) -> QuadratureRule:
     """n-point Gauss rule for the Jacobi weight, in O(n) memory.
 
     The eigenvalues of the Jacobi matrix (Golub-Welsch, eigenvalues only)
     are the starting nodes.  Each sweep then runs the orthonormal
-    recurrence over all nodes in longdouble and gives both the Newton
-    correction of every node and its Christoffel sum sum_k p_k^2.  The
-    first sweep always takes its Newton step (the start is only accurate
-    to double); a later sweep whose corrections are all at most
-    64 longdouble ulp returns the nodes it ran at, with weights
-    1 / sum_k p_k^2 from that same sweep.  At most three sweeps run, else
-    ConvergenceError.  Exact for polynomials of degree <= 2 n_nodes - 1.
+    recurrence over all nodes in ``dtype`` and gives both the Newton
+    correction of every node and its weight 1 / sum_k p_k^2.  The first
+    sweep always takes its Newton step (the start is only accurate to
+    double); a later sweep whose corrections are all at most 64 ulp of
+    ``dtype`` returns the nodes it ran at, with the weights from that same
+    sweep.  At most three sweeps run, else ConvergenceError.  Exact for
+    polynomials of degree <= 2 n_nodes - 1.
+
+    ``dtype`` is ``np.longdouble`` (the default; the quadrature oracle
+    needs it) or ``np.float64`` (what ``spectral.expand`` uses, about 3
+    times faster); anything else raises DomainError.  The recurrence
+    coefficients are formed in longdouble either way.  The sweep rescales
+    the recurrence by powers of two, so it does not overflow in double.
+    A double weight whose true value is below the double underflow
+    threshold (about 1e-308) comes out subnormal or 0: at
+    (0.001, 150, 2048), for example, the weights of the nodes nearest -1
+    are 0.
     """
+    if dtype not in (np.longdouble, np.float64):
+        raise DomainError(
+            f"gauss_jacobi_rule computes in np.longdouble or np.float64, not {dtype!r}"
+        )
+    dtype = np.dtype(dtype)
     if alpha <= -1 or beta <= -1:
         raise DomainError("gauss_jacobi_rule requires alpha, beta > -1")
     if n_nodes <= 0:
@@ -299,11 +350,13 @@ def gauss_jacobi_rule(alpha: float, beta: float, n_nodes: int) -> QuadratureRule
         start = eigh_tridiagonal(diag.astype(float), off.astype(float), eigvals_only=True)
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise ConvergenceError("tridiagonal eigensolver failed") from exc
-    x = np.asarray(start, dtype=np.longdouble)
-    p0 = 1 / np.sqrt(np.longdouble(jacobi_weight_mass(alpha, beta)))
+    diag, off = diag.astype(dtype, copy=False), off.astype(dtype, copy=False)
+    x = np.asarray(start, dtype=dtype)
+    p0 = dtype.type(1 / np.sqrt(np.longdouble(jacobi_weight_mass(alpha, beta))))
+    tol = _NEWTON_ULPS * np.finfo(dtype).eps
     for sweep in range(_MAX_SWEEPS):
-        ssum, delta = _christoffel_sweep(diag, off, p0, x)
-        if sweep and np.max(np.abs(delta)) <= _NEWTON_TOL:
+        weights, delta = _christoffel_sweep(diag, off, p0, x)
+        if sweep and np.max(np.abs(delta)) <= tol:
             break
         x = x - delta
     else:
@@ -312,7 +365,7 @@ def gauss_jacobi_rule(alpha: float, beta: float, n_nodes: int) -> QuadratureRule
         )
     if not (np.all(np.diff(x) > 0) and -1 < x[0] and x[-1] < 1):
         raise ConvergenceError("Gauss-Jacobi nodes are not increasing inside (-1, 1)")
-    return QuadratureRule(nodes=x, weights=1 / ssum, alpha=alpha, beta=beta)
+    return QuadratureRule(nodes=x, weights=weights, alpha=alpha, beta=beta)
 
 
 _HYPER_MAX_TERMS = 10_000

@@ -10,6 +10,7 @@ coefficients is skew-symmetric.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 
@@ -103,28 +104,49 @@ def _sample(f, nodes: np.ndarray) -> np.ndarray:
     return samples
 
 
+# expand keeps the rules of this many (alpha, beta, Q).
+_RULE_CACHE_SIZE = 8
+
+
+@functools.lru_cache(maxsize=_RULE_CACHE_SIZE)
+def _expand_rule(alpha: float, beta: float, q_nodes: int):
+    """The double Gauss rule of expand, computed once per (alpha, beta, Q).
+
+    Sharing is safe: a QuadratureRule is frozen and its arrays are
+    read-only.  A rule that raises is not cached.
+    """
+    return gauss_jacobi_rule(alpha, beta, q_nodes, dtype=np.float64)
+
+
 def expand(params: JacobiParams, f, n_size: int) -> CoeffVector:
     """First N coefficients of f in the weighted basis, by Gauss quadrature.
 
-    Uses Q = max(2N, 64) nodes; the square root of the weight is divided
-    out analytically (all nodes are interior, where the weight is
+    Uses a double-precision rule with Q = max(2N, 64) nodes; the last 8
+    rules, by (alpha, beta, Q), are cached, so repeated expansions in one
+    basis compute their rule once.  The square root of the weight is
+    divided out analytically (all nodes are interior, where the weight is
     positive), so f itself need not be evaluable at the endpoints.
 
     f must act elementwise: f(x)[i] == f(x[i]).  It is called once on the
-    whole (read-only, longdouble) node array, and the result is used if
-    it has shape (Q,); if that call raises or returns another shape, f is
+    whole (read-only, double) node array, and the result is used if it
+    has shape (Q,); if that call raises or returns another shape, f is
     called once per node instead.  The Jacobi polynomials are streamed
-    over the nodes one degree at a time, so memory is O(N + Q).
+    over the nodes in double one degree at a time, so memory is O(N + Q).
     """
     if n_size < 1:
         raise DomainError(f"size must be >= 1, got {n_size}")
     q_nodes = max(2 * n_size, 64)
-    rule = gauss_jacobi_rule(params.alpha, params.beta, q_nodes)
+    rule = _expand_rule(params.alpha, params.beta, q_nodes)
     samples = _sample(f, rule.nodes)
     if not np.all(np.isfinite(samples)):
         raise ValueError("function samples must be finite at the quadrature nodes")
-    weighted = rule.weights * (samples / _sqrt_weight(params, rule.nodes))
-    rows = jacobi_rows(params.alpha, params.beta, n_size - 1, rule.nodes)
+    # A node whose weight underflowed double adds nothing, and is left out:
+    # there the square root of the weight can underflow as well, and the
+    # P_n can overflow.
+    live = rule.weights > 0
+    nodes = rule.nodes[live]
+    weighted = rule.weights[live] * (samples[live] / _sqrt_weight(params, nodes))
+    rows = jacobi_rows(params.alpha, params.beta, n_size - 1, nodes)
     sums = np.array([row @ weighted for row in rows])
     coeffs = kappa_vector(params, n_size - 1) * sums
     return CoeffVector(params=params, coeffs=coeffs)

@@ -133,15 +133,17 @@ class TestVerify:
         assert not report["checks"]["against_file_agreement"]["pass"]
         assert "FAIL against_file_agreement" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 6])
     def test_smallest_sizes(self, n, tmp_path):
         out = tmp_path / "report.json"
         assert run(["verify", "--n", str(n), "--out", str(out)]) == 0
         report = json.loads(out.read_text())
         assert report["n"] == n
-        # The rank-2 check draws blocks above the diagonal; below n = 3
-        # there is none to draw, so the check is left out.
-        assert ("rank2_structure" in report["checks"]) == (n >= 3)
+        # The rank-2 check measures blocks above the diagonal with both
+        # sides >= 3; below n = 7 there is none, so the check is left out
+        # and the report says so.
+        assert "rank2_structure" not in report["checks"]
+        assert "left out" in report["notes"]["rank2_structure"]
         assert all(c["pass"] for c in report["checks"].values())
 
     def test_against_wrong_size_file(self, tmp_path):

@@ -237,6 +237,17 @@ class TestBoundednessSums:
                 sums = boundedness_sums(JacobiParams(a, b))
                 assert all(np.isfinite(sums))
 
+    # Sums far below 1 (3.7e-18 for b1.b1 at (0.5, 12)) once stopped
+    # early on an absolute rule, and the two routes then disagreed on 35
+    # of these 81 pairs.
+    GRID = (0.001, 0.5, 1.0, 2.0, 3.0, 5.0, 8.0, 12.0, 30.0)
+
+    @pytest.mark.parametrize("a", GRID)
+    def test_routes_agree_on_the_wide_grid(self, a):
+        for b in self.GRID:
+            sums = boundedness_sums(JacobiParams(a, b))
+            assert all(np.isfinite(sums))
+
     def test_symmetric_parameters_match(self):
         for a in (0.5, 2.0):
             s11, _, s22 = boundedness_sums(JacobiParams(a, a))

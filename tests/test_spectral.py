@@ -7,7 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ssjacobi import jacobidiff
+from ssjacobi import jacobidiff, spectral
+from ssjacobi.jacobidiff import kappa_vector
 from ssjacobi.spectral import (
     CoeffVector,
     differentiate,
@@ -19,7 +20,13 @@ from ssjacobi.spectral import (
     wfun_table,
     write_norm_series_csv,
 )
-from ssjacobi.specfun import DomainError, JacobiParams, gauss_jacobi_rule
+from ssjacobi.specfun import (
+    ConvergenceError,
+    DomainError,
+    JacobiParams,
+    gauss_jacobi_rule,
+    jacobi_table,
+)
 
 P22 = JacobiParams(2.0, 2.0)
 P42 = JacobiParams(4.0, 2.0)
@@ -131,19 +138,43 @@ class TestExpand:
 
     def test_streamed_sums_equal_the_table_product(self):
         # Streaming the recurrence changes memory, not results: the same
-        # longdouble rows and dot products as the full N x Q table.
-        from ssjacobi.jacobidiff import kappa_vector
-        from ssjacobi.specfun import jacobi_table
-
+        # double rows of the double rule, each dotted with the weighted
+        # samples, as the rows of the full N x Q table.
         f = lambda x: (1.0 - x) ** 2 * (1.0 + x) * np.exp(x)
         n_size = 50
-        rule = gauss_jacobi_rule(4.0, 2.0, 2 * n_size)
+        rule = gauss_jacobi_rule(4.0, 2.0, 2 * n_size, dtype=np.float64)
         samples = np.asarray(f(rule.nodes), dtype=float)
         ratio = samples / ((1.0 - rule.nodes) ** 2.0 * (1.0 + rule.nodes) ** 1.0)
+        weighted = rule.weights * ratio
         table = jacobi_table(4.0, 2.0, n_size - 1, rule.nodes)
-        ref = kappa_vector(P42, n_size - 1) * (table @ (rule.weights * ratio))
-        assert table.dtype == np.longdouble
-        assert np.array_equal(expand(P42, f, n_size).coeffs, ref.astype(float))
+        ref = kappa_vector(P42, n_size - 1) * np.array([row @ weighted for row in table])
+        assert table.dtype == np.float64
+        assert np.array_equal(expand(P42, f, n_size).coeffs, ref)
+
+    @pytest.mark.parametrize(
+        "alpha,beta,n_size",
+        [(2.0, 2.0, 1024), (1.0, 6.0, 1024), (12.0, 1.0, 1024), (0.5, 12.0, 1024),
+         (30.0, 1.0, 1024), (100.0, 150.0, 1024),
+         # The weights nearest -1 underflow double, and f with them.
+         (2.3, 300.0, 1200)],
+    )
+    def test_double_rule_matches_the_extended_table_product(self, alpha, beta, n_size):
+        # The double rule and double rows against the longdouble rule and
+        # table; at most 4.1e-15 of max |c| was measured at N = 1024, and
+        # 8.6e-15 at (2.3, 300, 1200).
+        params = JacobiParams(alpha, beta)
+        ha, hb = alpha / 2 + 1, beta / 2 + 1
+
+        def f(x):
+            return (1.0 - x) ** ha * (1.0 + x) ** hb * np.cos(3.0 * x + 0.4)
+
+        got = expand(params, f, n_size).coeffs
+        rule = gauss_jacobi_rule(alpha, beta, 2 * n_size)
+        x = rule.nodes
+        ratio = (1.0 - x) * (1.0 + x) * np.cos(3.0 * x + np.longdouble(0.4))
+        table = jacobi_table(alpha, beta, n_size - 1, x)
+        ref = (kappa_vector(params, n_size - 1) * (table @ (rule.weights * ratio))).astype(float)
+        assert np.abs(got - ref).max() <= 2e-14 * np.abs(ref).max()
 
     def test_memory_is_linear_in_the_sizes(self):
         f = lambda x: (1.0 - x * x) ** 2 * np.sin(3.0 * x)
@@ -165,6 +196,59 @@ class TestExpand:
         weights = np.asarray(rule.weights, dtype=float)
         l2sq = float(weights @ np.array([f(x) ** 2 for x in nodes]))
         assert u.norm() ** 2 == pytest.approx(l2sq, abs=1e-11)
+
+
+class TestExpandRuleCache:
+    @pytest.fixture
+    def computed(self, monkeypatch):
+        """(alpha, beta, Q, dtype) of every rule expand computes."""
+        calls = []
+
+        def counted(alpha, beta, n_nodes, dtype=np.longdouble):
+            calls.append((alpha, beta, n_nodes, np.dtype(dtype)))
+            return gauss_jacobi_rule(alpha, beta, n_nodes, dtype=dtype)
+
+        spectral._expand_rule.cache_clear()
+        monkeypatch.setattr(spectral, "gauss_jacobi_rule", counted)
+        yield calls
+        spectral._expand_rule.cache_clear()
+
+    @staticmethod
+    def f(x):
+        return (1.0 - x * x) ** 3 * np.exp(x)
+
+    def test_one_rule_per_basis_and_size(self, computed):
+        first = expand(P42, self.f, 40)
+        second = expand(P42, lambda x: 2.0 * self.f(x), 40)
+        assert computed == [(4.0, 2.0, 80, np.dtype(np.float64))]
+        assert np.array_equal(second.coeffs, 2.0 * first.coeffs)
+
+    def test_new_alpha_or_size_computes_a_new_rule(self, computed):
+        expand(P42, self.f, 40)
+        expand(JacobiParams(4.5, 2.0), self.f, 40)
+        expand(P42, self.f, 41)
+        expand(P42, self.f, 40)
+        assert [c[:3] for c in computed] == [(4.0, 2.0, 80), (4.5, 2.0, 80), (4.0, 2.0, 82)]
+
+    def test_keeps_at_most_eight_rules(self, computed):
+        sizes = range(40, 49)  # nine Q
+        for n in sizes:
+            expand(P42, self.f, n)
+        assert spectral._expand_rule.cache_info().currsize == 8
+        expand(P42, self.f, 40)  # the oldest was evicted
+        assert [c[2] for c in computed] == [2 * n for n in sizes] + [80]
+
+    def test_a_rule_that_raises_is_not_cached(self, computed, monkeypatch):
+        def failing(alpha, beta, n_nodes, dtype=np.longdouble):
+            computed.append((alpha, beta, n_nodes, np.dtype(dtype)))
+            raise ConvergenceError("no rule")
+
+        monkeypatch.setattr(spectral, "gauss_jacobi_rule", failing)
+        for _ in range(2):
+            with pytest.raises(ConvergenceError):
+                expand(P42, self.f, 40)
+        assert len(computed) == 2
+        assert spectral._expand_rule.cache_info().currsize == 0
 
 
 class TestReconstruct:
