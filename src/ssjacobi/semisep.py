@@ -393,34 +393,48 @@ def _annihilation_coeffs(gen: np.ndarray, n: int, r: int):
     """Coefficients expressing gen[:, m] in the r rows before m.
 
     x solves gen[:, m] = sum_j x_j gen[:, m-1-j] for m = r .. n-1.
-    Returns an (n, r) array, zero-filled on unprocessed rows.
+    Returns an (n, r) array, zero-filled on unprocessed rows.  For r = 2
+    the local systems are solved by Cramer's rule, which is forward
+    stable for 2 x 2 systems (Higham, Accuracy and Stability of Numerical
+    Algorithms, sec. 1.10); other ranks take one batched LU solve.  A
+    system whose determinant is 0 or not finite, or that LU finds
+    singular, is solved alone, by least squares if need be, and raises
+    SingularityError if it is inconsistent.
     """
     gen = np.asarray(gen, dtype=float)  # local solves run in double
     x = np.zeros((n, r))
     rows = np.arange(r, n)
     if r == 0 or rows.size == 0:
         return x
-    idx = rows[:, None] - 1 - np.arange(r)[None, :]
-    # Local systems G @ x = rhs with G[i, j] = gen[i, m-1-j].
-    G = gen[:, idx].transpose(1, 0, 2)          # (rows, r, r)
-    rhs = gen[:, rows].T                         # (rows, r)
-    try:
-        sol = np.linalg.solve(G, rhs[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        sol = np.empty_like(rhs)
-        for k, m in enumerate(rows):
-            gk = G[k]
-            try:
-                sol[k] = np.linalg.solve(gk, rhs[k])
-            except np.linalg.LinAlgError:
-                cand, *_ = np.linalg.lstsq(gk, rhs[k], rcond=None)
-                resid = gk @ cand - rhs[k]
-                tol = 1e-8 * max(1.0, float(np.abs(rhs[k]).max()))
-                if float(np.abs(resid).max()) > tol:
-                    raise SingularityError(
-                        "rank-deficient local annihilation system", int(m)
-                    ) from None
-                sol[k] = cand
+    # Local systems G @ x = rhs with G[i, j] = gen[i, m-1-j], rhs = gen[:, m].
+    if r == 2:
+        (g00, g10), (g01, g11), (h0, h1) = gen[:, 1:-1], gen[:, :-2], gen[:, 2:]
+        det = g00 * g11 - g01 * g10
+        sol = np.empty((rows.size, 2))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(h0 * g11 - g01 * h1, det, out=sol[:, 0])
+            np.divide(g00 * h1 - h0 * g10, det, out=sol[:, 1])
+        redo = np.flatnonzero((det == 0) | ~np.isfinite(det))
+    else:
+        idx = rows[:, None] - 1 - np.arange(r)[None, :]
+        try:
+            sol = np.linalg.solve(gen[:, idx].transpose(1, 0, 2), gen[:, rows].T[..., None])[..., 0]
+            redo = ()
+        except np.linalg.LinAlgError:
+            sol = np.empty((rows.size, r))
+            redo = range(rows.size)
+    for k in redo:
+        m = int(rows[k])
+        gk, rhs = gen[:, m - 1 - np.arange(r)], gen[:, m]
+        try:
+            sol[k] = np.linalg.solve(gk, rhs)
+        except np.linalg.LinAlgError:
+            cand, *_ = np.linalg.lstsq(gk, rhs, rcond=None)
+            resid = gk @ cand - rhs
+            tol = 1e-8 * max(1.0, float(np.abs(rhs).max()))
+            if float(np.abs(resid).max()) > tol:
+                raise SingularityError("rank-deficient local annihilation system", m) from None
+            sol[k] = cand
     x[rows] = sol
     return x
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
+from scipy.special import beta as beta_function
 
 __all__ = [
     "JacobiParams",
@@ -109,57 +110,122 @@ def pochhammer(z: float, m: int) -> float:
     return out
 
 
-def _p1(alpha: float, beta: float, x):
-    return 0.5 * ((alpha + beta + 2.0) * x + alpha - beta)
-
-
 def _points(x) -> np.ndarray:
     """x as an array: longdouble if it already is, double otherwise."""
     x = np.asarray(x)
     return x if x.dtype == np.longdouble else np.asarray(x, dtype=float)
 
 
-def _recurrence(alpha: float, beta: float, nmax: int, x: np.ndarray):
-    pm1 = np.ones_like(x)
-    yield pm1
-    if nmax == 0:
-        return
-    # n = 0 step of the recurrence degenerates when alpha + beta = 0;
-    # start from the explicit P_1 instead.
-    p = _p1(alpha, beta, x)
-    yield p
-    s = alpha + beta
-    for k in range(1, nmax):
-        a0 = 2.0 * (k + 1) * (k + s + 1) * (2 * k + s)
-        a1 = (2 * k + s + 1) * ((2 * k + s) * (2 * k + s + 2) * x + alpha**2 - beta**2)
-        a2 = 2.0 * (k + alpha) * (k + beta) * (2 * k + s + 2)
-        p, pm1 = (a1 * p - a2 * pm1) / a0, p
-        yield p
+def _check_degree(alpha: float, beta: float, nmax: int) -> None:
+    if alpha <= -1 or beta <= -1:
+        raise DomainError("Jacobi polynomials require alpha, beta > -1")
+    if nmax < 0:
+        raise DomainError(f"degree must be >= 0, got {nmax}")
+
+
+def _recurrence_coeffs(alpha: float, beta: float, nmax: int, dtype):
+    """c1_k, c0_k, c2_k of P_{k+1} = (c1_k x + c0_k) P_k - c2_k P_{k-1},
+    for k = 0 .. nmax-1, formed in ``dtype``.
+
+    k = 0 is the explicit P_1 = ((a + b + 2) x + a - b) / 2 (c2_0 = 0):
+    the generic formula has a removable 0/0 there when a + b is 0 or -1.
+    Returned as lists of scalars, Python floats for double, so that each
+    step of the kernel takes them without a conversion.
+    """
+    al, be = dtype.type(alpha), dtype.type(beta)
+    s = al + be
+    k = np.arange(nmax, dtype=dtype)
+    t = 2 * k + s  # 2k + a + b
+    a0 = 2 * (k + 1) * (k + s + 1) * t
+    a0[:1] = 1  # k = 0 is set below
+    c1 = (t + 1) * t * (t + 2) / a0
+    c0 = (t + 1) * ((al - be) * s) / a0
+    c2 = 2 * (k + al) * (k + be) * (t + 2) / a0
+    c1[:1], c0[:1], c2[:1] = (s + 2) / 2, (al - be) / 2, 0
+    if dtype == np.float64:
+        return c1.tolist(), c0.tolist(), c2.tolist()
+    return list(c1), list(c0), list(c2)
+
+
+# The kernel fills the rows of P_n in blocks of at most this many values
+# (at least one row), so its buffer stays small for any degree and any
+# number of points.
+_BLOCK_VALUES = 2**16
+
+
+def _block_rows(nmax: int, npts: int) -> int:
+    """Rows per block of _jacobi_blocks for P_0 .. P_nmax at npts points."""
+    return min(nmax + 1, max(1, _BLOCK_VALUES // max(npts, 1)))
+
+
+def _jacobi_blocks(alpha: float, beta: float, nmax: int, x: np.ndarray, rows=None):
+    """P_0 .. P_nmax at the 1-d points x, in blocks of ``rows`` degrees
+    (by default _block_rows: about 2^16 values).  The one copy of the
+    three-term recurrence; the arguments are not checked here.
+
+    Yields (k0, block) with block[i] = P_{k0+i}(x) for k0 = 0, rows,
+    2 rows ..., the last block possibly shorter.  The recurrence runs in
+    the dtype of x, with its coefficients formed once in that dtype, in
+    five in-place ufunc calls per degree.  Every block is a view of one
+    buffer, which the next block overwrites; the buffer keeps the last
+    two rows of a block in front of the next one.  With rows = nmax + 1
+    the single block is the whole table and the buffer holds nothing else.
+    """
+    if rows is None:
+        rows = _block_rows(nmax, x.size)
+    c1, c0, c2 = _recurrence_coeffs(alpha, beta, nmax, x.dtype)
+    several = rows <= nmax
+    buf = np.empty((rows + 2 * several, x.size), dtype=x.dtype)
+    tmp = np.empty_like(x)
+    lo = k0 = 0  # buf[lo] holds P_k0; buf[lo-2], buf[lo-1] the two before
+    while True:
+        hi = lo + min(rows, nmax + 1 - k0)
+        for i in range(lo, hi):
+            p, k = buf[i], k0 + i - lo - 1  # p = P_{k+1}
+            if k < 0:
+                p.fill(1)
+                continue
+            np.multiply(x, c1[k], out=p)
+            p += c0[k]
+            p *= buf[i - 1]
+            if k:
+                np.multiply(buf[i - 2], c2[k], out=tmp)
+                p -= tmp
+        yield k0, buf[lo:hi]
+        k0 += hi - lo
+        if k0 > nmax:
+            return
+        keep = min(hi, 2)
+        buf[2 - keep : 2] = buf[hi - keep : hi]
+        lo = 2
 
 
 def jacobi_rows(alpha: float, beta: float, nmax: int, x):
     """P_0 .. P_nmax at the points x, one row at a time.
 
     The three-term recurrence in the precision of x (longdouble stays
-    longdouble, anything else becomes double); it holds two rows at a
-    time, so a caller that consumes the rows as they come needs only
-    O(len(x)) memory.  Accepts alpha, beta > -1 (the quadrature oracle
-    needs the shifted weights).
+    longdouble, anything else becomes double), with its coefficients
+    formed in that precision too.  Rows are computed in blocks of about
+    2^16 values and each yielded row is an independent copy with the
+    shape of x, so memory is O(2^16 + len(x)).  Accepts alpha, beta > -1
+    (the quadrature oracle needs the shifted weights); the arguments are
+    checked when this is called, not when the first row is taken.
     """
-    if alpha <= -1 or beta <= -1:
-        raise DomainError("Jacobi polynomials require alpha, beta > -1")
-    if nmax < 0:
-        raise DomainError(f"degree must be >= 0, got {nmax}")
-    return _recurrence(alpha, beta, nmax, _points(x))
+    _check_degree(alpha, beta, nmax)
+    x = _points(x)
+    blocks = _jacobi_blocks(alpha, beta, nmax, x.reshape(-1))
+    return (row.reshape(x.shape).copy() for _, block in blocks for row in block)
 
 
 def jacobi_table(alpha: float, beta: float, nmax: int, x: np.ndarray) -> np.ndarray:
-    """All P_0 .. P_nmax at the points x, as an (nmax+1, len(x)) array."""
-    rows = jacobi_rows(alpha, beta, nmax, x)
-    x = _points(x)
-    table = np.empty((nmax + 1, x.size), dtype=x.dtype)
-    for k, row in enumerate(rows):
-        table[k] = row
+    """All P_0 .. P_nmax at the points x, as an (nmax+1, len(x)) array.
+
+    One block of the recurrence kernel, in the precision of x as for
+    jacobi_rows.
+    """
+    _check_degree(alpha, beta, nmax)
+    x = _points(x).reshape(-1)
+    _, table = next(_jacobi_blocks(alpha, beta, nmax, x, nmax + 1))
     return table
 
 
@@ -208,13 +274,34 @@ def connection_check(alpha: float, beta: float, n: int, x) -> tuple[float, float
 
 
 def jacobi_weight_mass(alpha: float, beta: float) -> float:
-    """Total mass of (1-x)^alpha (1+x)^beta on (-1, 1)."""
-    return math.exp(
-        (alpha + beta + 1) * math.log(2.0)
-        + log_gamma(alpha + 1)
-        + log_gamma(beta + 1)
-        - log_gamma(alpha + beta + 2)
-    )
+    """Total mass 2^(alpha+beta+1) B(alpha+1, beta+1) of the weight
+    (1-x)^alpha (1+x)^beta on (-1, 1), for alpha, beta > -1.
+
+    With a = alpha + 1 = a0 + m and b = beta + 1 = b0 + n, m and n the
+    integer parts of alpha and beta (0 below 0), the Beta function is
+    B(a0, b0) (a0)_m (b0)_n / (a0 + b0)_(m+n).  scipy.special.beta gives
+    B(a0, b0) for a0, b0 in (0, 2), and the rational factors are
+    multiplied in longdouble, each a ratio below 1, so no factorial
+    overflows.  Within 9.3e-16 relative of 50-digit values for alpha,
+    beta in (-1, 300], where a sum of double log-gammas was off by up to
+    1.9e-13.  Raises OverflowError if the mass exceeds the double range.
+    """
+    if not (alpha > -1 and beta > -1):
+        raise DomainError(f"weight mass requires alpha, beta > -1, got {alpha!r}, {beta!r}")
+    m, n = max(math.floor(alpha), 0), max(math.floor(beta), 0)
+    a0, b0 = (alpha - m) + 1, (beta - n) + 1
+    ratio = np.longdouble(beta_function(a0, b0))
+    ld = np.longdouble
+    for i in range(m):
+        ratio *= (ld(a0) + i) / (ld(a0) + ld(b0) + i)
+    for j in range(n):
+        ratio *= (ld(b0) + j) / (ld(a0) + ld(b0) + m + j)
+    e = ld(alpha) + ld(beta) + 1
+    whole = math.floor(e)
+    mass = float(np.ldexp(ratio * np.exp2(e - whole), whole))
+    if not math.isfinite(mass):
+        raise OverflowError(f"weight mass at ({alpha!r}, {beta!r}) exceeds the double range")
+    return mass
 
 
 def _jacobi_matrix(alpha: float, beta: float, q: int):

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import semisep
 from .jacobidiff import DiffMatrixBuild, InternalConsistencyError, kappa_vector
-from .specfun import DomainError, JacobiParams, gauss_jacobi_rule, jacobi_rows, jacobi_table
+from .specfun import DomainError, JacobiParams, _jacobi_blocks, gauss_jacobi_rule, jacobi_table
 
 __all__ = [
     "CoeffVector",
@@ -130,8 +130,9 @@ def expand(params: JacobiParams, f, n_size: int) -> CoeffVector:
     f must act elementwise: f(x)[i] == f(x[i]).  It is called once on the
     whole (read-only, double) node array, and the result is used if it
     has shape (Q,); if that call raises or returns another shape, f is
-    called once per node instead.  The Jacobi polynomials are streamed
-    over the nodes in double one degree at a time, so memory is O(N + Q).
+    called once per node instead.  The Jacobi polynomials run over the
+    nodes in double, in blocks of about 2^16 values, and each block is
+    summed with one matrix-vector product, so memory is O(N + Q + 2^16).
     """
     if n_size < 1:
         raise DomainError(f"size must be >= 1, got {n_size}")
@@ -146,8 +147,9 @@ def expand(params: JacobiParams, f, n_size: int) -> CoeffVector:
     live = rule.weights > 0
     nodes = rule.nodes[live]
     weighted = rule.weights[live] * (samples[live] / _sqrt_weight(params, nodes))
-    rows = jacobi_rows(params.alpha, params.beta, n_size - 1, nodes)
-    sums = np.array([row @ weighted for row in rows])
+    sums = np.empty(n_size)
+    for k0, block in _jacobi_blocks(params.alpha, params.beta, n_size - 1, nodes):
+        sums[k0 : k0 + len(block)] = block @ weighted
     coeffs = kappa_vector(params, n_size - 1) * sums
     return CoeffVector(params=params, coeffs=coeffs)
 
@@ -155,15 +157,28 @@ def expand(params: JacobiParams, f, n_size: int) -> CoeffVector:
 def reconstruct(u: CoeffVector, x) -> np.ndarray:
     """Pointwise values sum_n u_n phi_n(x) of the represented truncation.
 
-    Points must lie in [-1, 1].  The Jacobi polynomials are streamed over
-    the points one degree at a time, so memory is O(N + len(x)).
+    Points must lie in [-1, 1]; the value at x = +-1 is exactly 0.  The
+    Jacobi polynomials run over the points in double, in blocks of about
+    2^16 values, and each block adds one matrix-vector product, so memory
+    is O(N + len(x) + 2^16).  Where P_n overflows double (large beta and N
+    near x = -1, for example) and the sum is not finite at an interior
+    point, FloatingPointError names the first such point.
     """
     pts = _domain_points(x)
+    a, b = u.params.alpha, u.params.beta
     scaled = u.coeffs * kappa_vector(u.params, u.n - 1)
     vals = np.zeros_like(pts)
-    for c, row in zip(scaled, jacobi_rows(u.params.alpha, u.params.beta, u.n - 1, pts)):
-        vals += c * row
-    vals *= _sqrt_weight(u.params, pts)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k0, block in _jacobi_blocks(a, b, u.n - 1, pts):
+            vals += scaled[k0 : k0 + len(block)] @ block
+        vals *= _sqrt_weight(u.params, pts)
+    vals[np.abs(pts) == 1.0] = 0.0
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if bad.size:
+        raise FloatingPointError(
+            f"reconstruct at (alpha, beta, N) = ({a!r}, {b!r}, {u.n}) is not finite"
+            f" at x = {float(pts[bad[0]])!r}"
+        )
     return float(vals[0]) if np.ndim(x) == 0 else vals
 
 
@@ -213,19 +228,20 @@ def step_advection_cayley(build: DiffMatrixBuild, u: CoeffVector, dt: float) -> 
     """One Cayley step of u_t = u_x: (I - dt/2 D) u+ = (I + dt/2 D) u.
 
     The Cayley transform of a skew-symmetric matrix is orthogonal, so the
-    step conserves the l2 norm.
+    step conserves the l2 norm.  As I + hD = 2I - (I - hD), the step is
+    u+ = 2 (I - hD)^-1 u - u with h = dt/2: one shifted solve and no
+    matvec, so hD u, which can be far larger than u, is never formed.
     """
     _check_match(build, u)
     if dt <= 0:
         raise DomainError(f"dt must be > 0, got {dt!r}")
-    rhs = u.coeffs + (dt / 2.0) * build.matvec(u.coeffs)
     try:
-        out = build.solve_shifted(-dt / 2.0, rhs)
+        solved = build.solve_shifted(-dt / 2.0, u.coeffs)
     except semisep.SingularityError as exc:  # pragma: no cover
         raise InternalConsistencyError(
             "Cayley system reported singular; its spectrum is 1 + imaginary"
         ) from exc
-    return CoeffVector(params=u.params, coeffs=out)
+    return CoeffVector(params=u.params, coeffs=2.0 * solved - u.coeffs)
 
 
 def write_norm_series_csv(path, rows) -> None:

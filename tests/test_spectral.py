@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ssjacobi import jacobidiff, spectral
+from ssjacobi import jacobidiff, specfun, spectral
 from ssjacobi.jacobidiff import kappa_vector
 from ssjacobi.spectral import (
     CoeffVector,
@@ -137,19 +137,22 @@ class TestExpand:
         assert np.array_equal(u.coeffs, expand(P42, array_f, 40).coeffs)
 
     def test_streamed_sums_equal_the_table_product(self):
-        # Streaming the recurrence changes memory, not results: the same
-        # double rows of the double rule, each dotted with the weighted
-        # samples, as the rows of the full N x Q table.
+        # Blocking the recurrence changes memory, not results: the same
+        # double rows of the double rule, each block of rows times the
+        # weighted samples, as the same blocks of the full N x Q table.
+        # N = 50 is one block; N = 600 is 12 blocks of 54 rows.
         f = lambda x: (1.0 - x) ** 2 * (1.0 + x) * np.exp(x)
-        n_size = 50
-        rule = gauss_jacobi_rule(4.0, 2.0, 2 * n_size, dtype=np.float64)
-        samples = np.asarray(f(rule.nodes), dtype=float)
-        ratio = samples / ((1.0 - rule.nodes) ** 2.0 * (1.0 + rule.nodes) ** 1.0)
-        weighted = rule.weights * ratio
-        table = jacobi_table(4.0, 2.0, n_size - 1, rule.nodes)
-        ref = kappa_vector(P42, n_size - 1) * np.array([row @ weighted for row in table])
-        assert table.dtype == np.float64
-        assert np.array_equal(expand(P42, f, n_size).coeffs, ref)
+        for n_size in (50, 600):
+            rule = gauss_jacobi_rule(4.0, 2.0, 2 * n_size, dtype=np.float64)
+            samples = np.asarray(f(rule.nodes), dtype=float)
+            ratio = samples / ((1.0 - rule.nodes) ** 2.0 * (1.0 + rule.nodes) ** 1.0)
+            weighted = rule.weights * ratio
+            table = jacobi_table(4.0, 2.0, n_size - 1, rule.nodes)
+            rows = specfun._block_rows(n_size - 1, rule.nodes.size)
+            sums = np.concatenate([table[k : k + rows] @ weighted for k in range(0, n_size, rows)])
+            ref = kappa_vector(P42, n_size - 1) * sums
+            assert table.dtype == np.float64
+            assert np.array_equal(expand(P42, f, n_size).coeffs, ref)
 
     @pytest.mark.parametrize(
         "alpha,beta,n_size",
@@ -294,8 +297,28 @@ class TestReconstruct:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # One N x len(x) double table alone would be 16 MB.
-        assert peak <= 8 * 2**20
+        # One N x len(x) double table alone would be 16 MB; the kernel's
+        # buffer of 67 rows is 0.54 MB (0.74 MB peak in all).
+        assert peak <= 2**20
+
+    def test_zero_at_the_ends_and_raises_where_the_sum_overflows(self):
+        # At beta = 300, P_n(-1) = +-C(n + 300, n) is about 1e314 at
+        # n = 1100, past the double range, while the square root of the
+        # weight underflows, so the sum is not finite near -1.
+        params = JacobiParams(2.3, 300.0)
+        ha, hb = 2.3 / 2 + 1, 300.0 / 2 + 1
+
+        def f(x):
+            return ((1.0 - x) / 2) ** ha * ((1.0 + x) / 2) ** hb * np.cos(3.0 * x + 0.4)
+
+        u = expand(params, f, 1200)
+        x = np.array([-1.0, 1.0, 0.0, 0.5, 0.9])
+        vals = reconstruct(u, x)
+        assert vals[0] == 0.0 and vals[1] == 0.0
+        assert np.abs(vals[2:] - f(x[2:])).max() <= 1e-12
+        for bad in (-0.999, -0.99):
+            with pytest.raises(FloatingPointError, match=r"\(2\.3, 300\.0, 1200\).*-0\.99"):
+                reconstruct(u, [0.0, bad, -0.5])
 
 
 class TestDifferentiate:
@@ -380,6 +403,25 @@ class TestCayleyStepper:
         for _ in range(100):
             u = step_advection_cayley(b, u, 1e-2)
         assert abs(u.norm() - start) <= 1e-10
+
+    @pytest.mark.parametrize("n", [64, 1024])
+    def test_one_solve_equals_the_two_term_form(self, n):
+        # u+ = 2 (I - hD)^-1 u - u against (I - hD)^-1 (u + hDu), h = dt/2.
+        b = jacobidiff.build(P22, n, "generators")
+        u = CoeffVector(params=P22, coeffs=np.random.default_rng(n).standard_normal(n))
+        two_term = b.solve_shifted(-5e-3, u.coeffs + 5e-3 * b.matvec(u.coeffs))
+        got = step_advection_cayley(b, u, 1e-2).coeffs
+        assert np.linalg.norm(got - two_term) <= 1e-13 * u.norm()
+        dense = step_advection_cayley(jacobidiff.build(P22, n, "closed_form"), u, 1e-2).coeffs
+        assert np.linalg.norm(dense - got) <= 1e-10 * u.norm()
+
+    def test_norm_drift_200_steps(self):
+        b = jacobidiff.build(P22, 64, "generators")
+        u = CoeffVector(params=P22, coeffs=np.random.default_rng(4).standard_normal(64))
+        start = u.norm()
+        for _ in range(200):
+            u = step_advection_cayley(b, u, 1e-2)
+        assert abs(u.norm() - start) <= 1e-13 * start
 
     def test_structured_matches_dense(self):
         bg = jacobidiff.build(P42, 128, "generators")
