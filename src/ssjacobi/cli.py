@@ -1,7 +1,8 @@
 """Command-line front end: matrix generation, cross-validation,
 benchmarking and the PDE demos.
 
-Exit codes: 0 success, 1 verification failure, 2 usage/config error.
+Exit codes: 0 success, 1 verification or numerical failure, 2 usage/config
+error or arguments outside the library's domain.
 """
 
 from __future__ import annotations
@@ -376,6 +377,12 @@ def main(argv=None) -> int:
         return handler(config)
     except OSError as exc:
         print(f"i/o failure: {exc}", file=sys.stderr)
+        return EXIT_VERIFY_FAIL
+    except ValueError as exc:  # DomainError and the other argument checks
+        print(f"invalid input: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except ArithmeticError as exc:  # singular, inconsistent or non-finite results
+        print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_VERIFY_FAIL
 
 

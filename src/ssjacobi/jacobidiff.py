@@ -11,8 +11,9 @@ Four mutually validating construction routes:
 
 The normative orientation is the lower triangle (row index larger), where
 the entry is -1/2 times the weighted integral of w' P_m P_n scaled by the
-normalization constants; the closed form and the generators are
-sign-calibrated against it.
+normalization constants.  The closed form and the generators are written
+with that orientation, so D[1, 0] > 0 on every route (see
+``_closed_form_lower``).
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 from scipy.special import gammaln
@@ -47,7 +47,6 @@ __all__ = [
     "dtilde_lower_triangle",
     "d_entry_closed_form",
     "generators",
-    "generator_sign_flipped",
     "oracle_entry",
     "oracle_matrix",
     "boundedness_sums",
@@ -216,22 +215,17 @@ def dtilde_lower_triangle(params: JacobiParams, n_size: int) -> np.ndarray:
     return out
 
 
-def _normative_entry(params: JacobiParams) -> float:
-    """The normative lower-triangle entry D[1, 0] that pins the global signs."""
-    k0, k1 = kappa_vector(params, 1)
-    return k1 * k0 * dtilde_first_column(params, 1)
-
-
-@lru_cache(maxsize=None)
-def _closed_form_sign(alpha: float, beta: float) -> float:
-    """Global sign pinning the closed form to the normative lower triangle."""
-    params = JacobiParams(alpha, beta)
-    raw = _closed_form_lower(params, np.array([1]), np.array([0]))[0]
-    return -1.0 if _normative_entry(params) * raw < 0 else 1.0
+# The orientation is part of the formulas.  For alpha, beta > 0 the
+# normative entry D[1, 0] = kappa_0 kappa_1 dtilde[1, 0], with
+#   dtilde[1, 0] = 2^(a+b-1) [G(a+1) G(b+2) + G(b+1) G(a+2)] / G(a+b+2),
+# is positive.  As written, the closed form at (1, 0) is pref (e^h + e^-h)
+# > 0, and the generators give b_1 . (-a_0) = (b1_1 a1_0 + b2_1 a2_0) / 4
+# > 0, a sum of products of positive magnitudes.  So both formulas carry
+# the normative orientation for every (alpha, beta).
 
 
 def _closed_form_lower(params: JacobiParams, m, n) -> np.ndarray:
-    """Uncalibrated closed-form values at lower-triangle indices m > n."""
+    """Closed-form values at lower-triangle indices m > n."""
     a, b = params.alpha, params.beta
     s = a + b
     m = np.asarray(m, dtype=float)
@@ -262,14 +256,13 @@ def d_entry_closed_form(params: JacobiParams, m: int, n: int) -> float:
         raise DomainError("diagonal entries are zero and not covered here")
     if m < 0 or n < 0:
         raise DomainError("indices must be >= 0")
-    sgn = _closed_form_sign(params.alpha, params.beta)
     if m > n:
-        return float(sgn * _closed_form_lower(params, np.array([m]), np.array([n]))[0])
-    return float(-sgn * _closed_form_lower(params, np.array([n]), np.array([m]))[0])
+        return float(_closed_form_lower(params, np.array([m]), np.array([n]))[0])
+    return float(-_closed_form_lower(params, np.array([n]), np.array([m]))[0])
 
 
 def _generator_vectors(params: JacobiParams, n_size: int):
-    """Uncalibrated rank-2 generator vectors of the differentiation matrix.
+    """Rank-2 generator vectors (a, b) of the differentiation matrix.
 
     The second a- and b-vectors are the magnitudes of the first ones with
     alpha and beta swapped.
@@ -287,74 +280,51 @@ def _generator_vectors(params: JacobiParams, n_size: int):
 
     a1, b1 = magnitudes(params.alpha, params.beta)
     a2, b2 = magnitudes(params.beta, params.alpha)
-    return np.vstack([-alt * 0.5 * a1, 0.5 * a2]), np.vstack([alt * 0.5 * b1, 0.5 * b2])
-
-
-@lru_cache(maxsize=None)
-def generator_sign_flipped(alpha: float, beta: float) -> bool:
-    """Whether calibration flips the b-vector pair globally."""
-    params = JacobiParams(alpha, beta)
-    avec, bvec = _generator_vectors(params, 2)
-    # Lower-triangle entry (1, 0) of the skew expansion is b_1 . (-a_0).
-    raw = float(bvec[:, 1] @ (-avec[:, 0]))
-    return raw * _normative_entry(params) < 0
+    return np.vstack([-alt * 0.5 * a1, 0.5 * a2]), np.vstack([-alt * 0.5 * b1, -0.5 * b2])
 
 
 def generators(params: JacobiParams, n_size: int) -> SkewGeneratorPair:
     """Rank-2 skew generator pair of the N x N differentiation matrix.
 
-    The b-vectors carry a global sign calibrated so that the skew
-    expansion reproduces the normative lower triangle.
+    The lower-triangle entry (m, n) of the skew expansion is
+    b_m . (-a_n), with the normative orientation.
     """
     if n_size < 1:
         raise DomainError(f"size must be >= 1, got {n_size}")
     avec, bvec = _generator_vectors(params, n_size)
-    if generator_sign_flipped(params.alpha, params.beta):
-        bvec = -bvec
     return SkewGeneratorPair(n=n_size, a=avec, b=bvec)
 
 
-def oracle_entry(
-    params: JacobiParams, m: int, n: int, rule_size: int | None = None
-) -> float:
+def oracle_entry(params: JacobiParams, m: int, n: int) -> float:
     """Lower-triangle entry from exact Gauss-Jacobi quadrature.
 
     Splits w' into the two shifted weights and integrates the polynomial
-    P_m P_n against each with its own Gauss rule; exact up to roundoff.
+    P_m P_n against each with its own Gauss rule of m + n + 2 nodes;
+    exact up to roundoff.
     """
     if m < n + 1:
         raise DomainError("oracle_entry covers the lower triangle m >= n + 1")
-    if rule_size is None:
-        rule_size = m + n + 2
-    if rule_size < math.ceil((m + n + 2) / 2):
-        raise DomainError(f"rule_size {rule_size} too small for degrees ({m}, {n})")
     a, b = params.alpha, params.beta
     vals = []
-    r1 = gauss_jacobi_rule(a - 1, b, rule_size)
-    r2 = gauss_jacobi_rule(a, b - 1, rule_size)
-    for rule in (r1, r2):
+    for pa, pb in ((a - 1, b), (a, b - 1)):
+        rule = gauss_jacobi_rule(pa, pb, m + n + 2)
         table = jacobi_table(a, b, m, rule.nodes)
         vals.append(rule.integrate(table[m] * table[n]))
     i1, i2 = vals
     return kappa(params, m) * kappa(params, n) * (0.5 * a * i1 - 0.5 * b * i2)
 
 
-def oracle_matrix(
-    params: JacobiParams, n_size: int, rule_size: int | None = None
-) -> np.ndarray:
-    """Full N x N differentiation matrix from the quadrature oracle."""
+def oracle_matrix(params: JacobiParams, n_size: int) -> np.ndarray:
+    """Full N x N differentiation matrix from the quadrature oracle, with
+    Gauss rules of N + 1 nodes."""
     if n_size < 1:
         raise DomainError(f"size must be >= 1, got {n_size}")
-    if rule_size is None:
-        rule_size = n_size + 1
-    if rule_size < n_size:
-        raise DomainError(f"rule_size {rule_size} too small for size {n_size}")
     a, b = params.alpha, params.beta
     grams = []
     # Extended precision for the Gram accumulation: the weighted sums
     # cancel heavily near the diagonal for large indices.
     for pa, pb in ((a - 1, b), (a, b - 1)):
-        rule = gauss_jacobi_rule(pa, pb, rule_size)
+        rule = gauss_jacobi_rule(pa, pb, n_size + 1)
         table = jacobi_table(a, b, n_size - 1, rule.nodes.astype(np.longdouble))
         grams.append((table * rule.weights.astype(np.longdouble)) @ table.T)
     dtilde = (0.5 * a * grams[0] - 0.5 * b * grams[1]).astype(float)
@@ -461,7 +431,6 @@ class DiffMatrixBuild:
     source: str
     lower_packed: np.ndarray | None = None
     pair: SkewGeneratorPair | None = None
-    metadata: dict = field(default_factory=dict)
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def dense(self) -> np.ndarray:
@@ -506,17 +475,19 @@ def build(params: JacobiParams, n_size: int, source: str) -> DiffMatrixBuild:
     if source not in SOURCES:
         raise ValueError(f"unknown source {source!r}; expected one of {SOURCES}")
     if source == "generators":
-        meta = {"b_sign_flipped": generator_sign_flipped(params.alpha, params.beta)}
-        return DiffMatrixBuild(
-            params=params, n=n_size, source=source, pair=generators(params, n_size), metadata=meta
-        )
+        return DiffMatrixBuild(params=params, n=n_size, source=source, pair=generators(params, n_size))
     rows, cols = np.tril_indices(n_size, k=-1)
     if source == "closed_form":
-        lower = _closed_form_sign(params.alpha, params.beta) * _closed_form_lower(params, rows, cols)
+        lower = _closed_form_lower(params, rows, cols)
     elif source == "recurrence":
         lower = _scaled_lower(params, dtilde_lower_triangle(params, n_size))
     else:
         lower = oracle_matrix(params, n_size)[rows, cols]
+    if not np.all(np.isfinite(lower)):
+        raise FloatingPointError(
+            f"{source} route gives non-finite entries at "
+            f"(alpha, beta, N) = ({params.alpha!r}, {params.beta!r}, {n_size})"
+        )
     return DiffMatrixBuild(params=params, n=n_size, source=source, lower_packed=lower)
 
 

@@ -23,7 +23,6 @@ __all__ = [
     "log_gamma",
     "pochhammer",
     "jacobi_eval",
-    "jacobi_rows",
     "jacobi_table",
     "jacobi_reflection_check",
     "connection_check",
@@ -110,19 +109,6 @@ def pochhammer(z: float, m: int) -> float:
     return out
 
 
-def _points(x) -> np.ndarray:
-    """x as an array: longdouble if it already is, double otherwise."""
-    x = np.asarray(x)
-    return x if x.dtype == np.longdouble else np.asarray(x, dtype=float)
-
-
-def _check_degree(alpha: float, beta: float, nmax: int) -> None:
-    if alpha <= -1 or beta <= -1:
-        raise DomainError("Jacobi polynomials require alpha, beta > -1")
-    if nmax < 0:
-        raise DomainError(f"degree must be >= 0, got {nmax}")
-
-
 def _recurrence_coeffs(alpha: float, beta: float, nmax: int, dtype):
     """c1_k, c0_k, c2_k of P_{k+1} = (c1_k x + c0_k) P_k - c2_k P_{k-1},
     for k = 0 .. nmax-1, formed in ``dtype``.
@@ -200,31 +186,20 @@ def _jacobi_blocks(alpha: float, beta: float, nmax: int, x: np.ndarray, rows=Non
         lo = 2
 
 
-def jacobi_rows(alpha: float, beta: float, nmax: int, x):
-    """P_0 .. P_nmax at the points x, one row at a time.
-
-    The three-term recurrence in the precision of x (longdouble stays
-    longdouble, anything else becomes double), with its coefficients
-    formed in that precision too.  Rows are computed in blocks of about
-    2^16 values and each yielded row is an independent copy with the
-    shape of x, so memory is O(2^16 + len(x)).  Accepts alpha, beta > -1
-    (the quadrature oracle needs the shifted weights); the arguments are
-    checked when this is called, not when the first row is taken.
-    """
-    _check_degree(alpha, beta, nmax)
-    x = _points(x)
-    blocks = _jacobi_blocks(alpha, beta, nmax, x.reshape(-1))
-    return (row.reshape(x.shape).copy() for _, block in blocks for row in block)
-
-
 def jacobi_table(alpha: float, beta: float, nmax: int, x: np.ndarray) -> np.ndarray:
     """All P_0 .. P_nmax at the points x, as an (nmax+1, len(x)) array.
 
-    One block of the recurrence kernel, in the precision of x as for
-    jacobi_rows.
+    One block of the recurrence kernel, in the precision of x
+    (longdouble stays longdouble, anything else becomes double), with its
+    coefficients formed in that precision too.  Accepts alpha, beta > -1:
+    the quadrature oracle needs the shifted weights.
     """
-    _check_degree(alpha, beta, nmax)
-    x = _points(x).reshape(-1)
+    if alpha <= -1 or beta <= -1:
+        raise DomainError("Jacobi polynomials require alpha, beta > -1")
+    if nmax < 0:
+        raise DomainError(f"degree must be >= 0, got {nmax}")
+    x = np.asarray(x)
+    x = (x if x.dtype == np.longdouble else np.asarray(x, dtype=float)).reshape(-1)
     _, table = next(_jacobi_blocks(alpha, beta, nmax, x, nmax + 1))
     return table
 

@@ -80,6 +80,14 @@ class TestGen:
         assert "invalid choice" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    def test_generator_overflow_is_reported_without_traceback(self, tmp_path, capsys):
+        with np.errstate(over="ignore"):
+            code = run(["gen", "--alpha", "300", "--beta", "0.1", "--n", "16",
+                        "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid input: ValueError:") and err.count("\n") == 1
+
     def test_unwritable_path(self, capsys):
         assert run(["gen", "--out", "/nonexistent-dir/x.csv"]) == 1
 
@@ -145,6 +153,15 @@ class TestVerify:
         assert "rank2_structure" not in report["checks"]
         assert "left out" in report["notes"]["rank2_structure"]
         assert all(c["pass"] for c in report["checks"].values())
+
+    def test_non_finite_route_is_reported_without_traceback(self, tmp_path, capsys):
+        with np.errstate(over="ignore"):
+            code = run(["verify", "--alpha", "1", "--beta", "1000", "--n", "64",
+                        "--out", str(tmp_path / "r.json")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: FloatingPointError: recurrence")
+        assert err.count("\n") == 1
 
     def test_against_wrong_size_file(self, tmp_path):
         gfile = tmp_path / "g.json"

@@ -21,7 +21,6 @@ from ssjacobi.specfun import (
     hyper_pfq_at,
     jacobi_eval,
     jacobi_reflection_check,
-    jacobi_rows,
     jacobi_table,
     jacobi_weight_mass,
     log_gamma,
@@ -111,20 +110,9 @@ class TestJacobiEval:
         assert np.array_equal(got.ravel(), jacobi_table(1.5, 0.5, 4, x.ravel())[4])
         assert isinstance(jacobi_eval(1.5, 0.5, 4, 0.2), float)
 
-    @pytest.mark.parametrize("dtype", [float, np.longdouble])
-    def test_rows_are_the_table(self, dtype):
-        x = np.linspace(-0.95, 0.95, 9).astype(dtype)
-        rows = list(jacobi_rows(3.0, 0.5, 7, x))
-        table = jacobi_table(3.0, 0.5, 7, x)
-        assert table.dtype == dtype and len(rows) == 8
-        for row, ref in zip(rows, table):
-            assert np.array_equal(row, ref)
-
     def test_rows_validate_before_iteration(self):
         with pytest.raises(DomainError):
-            jacobi_rows(-1.0, 0.5, 3, [0.0])
-        with pytest.raises(DomainError):
-            jacobi_rows(1.0, 0.5, -1, [0.0])
+            jacobi_table(-1.0, 0.5, 3, [0.0])
         with pytest.raises(DomainError):
             jacobi_table(1.0, 0.5, -1, [0.0])
 
@@ -144,13 +132,10 @@ class TestRecurrenceKernel:
     @pytest.mark.parametrize("dtype", [float, np.longdouble])
     def test_blocks_are_the_table(self, nmax, dtype):
         # nmax = 64 is exactly one block, 65 one block plus one row and
-        # 200 four blocks; rows and blocks equal the one-block table.
+        # 200 four blocks; blocks of every size equal the one-block table.
         x = self.X.astype(dtype)
         table = jacobi_table(2.3, 4.1, nmax, x)
         assert table.shape == (nmax + 1, x.size) and table.dtype == dtype
-        rows = list(jacobi_rows(2.3, 4.1, nmax, x))
-        assert len(rows) == nmax + 1
-        assert all(np.array_equal(row, ref) for row, ref in zip(rows, table))
         for size in (1, 2, 3, None):
             starts, blocks = [], []
             for k0, block in specfun._jacobi_blocks(2.3, 4.1, nmax, x, size):
@@ -158,14 +143,6 @@ class TestRecurrenceKernel:
                 blocks.append(block.copy())
             assert np.array_equal(np.vstack(blocks), table)
             assert starts == list(range(0, nmax + 1, size or 65))
-
-    def test_rows_are_independent_arrays(self):
-        x = np.linspace(-0.5, 0.5, 7).reshape(7, 1)
-        rows = list(jacobi_rows(1.5, 0.5, 70, x))
-        assert all(row.shape == (7, 1) for row in rows)
-        assert not any(np.shares_memory(a, b) for a, b in zip(rows, rows[1:]))
-        rows[3][:] = 0.0
-        assert np.array_equal(rows[4].ravel(), jacobi_table(1.5, 0.5, 70, x.ravel())[4])
 
     @pytest.mark.parametrize("dtype,kind", [(np.float64, float), (np.longdouble, np.longdouble)])
     def test_coefficients_are_formed_in_the_points_dtype(self, dtype, kind):
