@@ -2,6 +2,11 @@
 # Model time-steppers: implicit-Euler diffusion (norm contracts) and
 # Cayley advection (norm conserved), both on the structured fast path.
 set -euo pipefail
+# Run the package from this checkout; it need not be installed.
+root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
+export PYTHONPATH="$root/src${PYTHONPATH:+:$PYTHONPATH}"
+ssjacobi() { python3 -m ssjacobi.cli "$@"; }
+
 outdir="${1:-artifacts}"
 mkdir -p "$outdir"
 

@@ -1,6 +1,11 @@
 #!/usr/bin/env bash
 # Cross-validation reports for the default and an asymmetric parameter pair.
 set -euo pipefail
+# Run the package from this checkout; it need not be installed.
+root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
+export PYTHONPATH="$root/src${PYTHONPATH:+:$PYTHONPATH}"
+ssjacobi() { python3 -m ssjacobi.cli "$@"; }
+
 outdir="${1:-artifacts}"
 mkdir -p "$outdir"
 

@@ -106,7 +106,8 @@ def cmd_verify(config: RunConfig) -> int:
     }
     rng = np.random.default_rng(config.seed)
     sources = jacobidiff.SOURCES
-    mats = {s: jacobidiff.build(params, n, s).dense() for s in sources}
+    builds = {s: jacobidiff.build(params, n, s) for s in sources}
+    mats = {s: b.dense() for s, b in builds.items()}
 
     route_err = max(
         float(np.abs(mats[s1] - mats[s2]).max())
@@ -129,7 +130,8 @@ def cmd_verify(config: RunConfig) -> int:
         _check(report, "parity", float(np.abs(mats["recurrence"][mask]).max()), 1e-12)
 
     dmat = mats["generators"]
-    g = semisep.skew_expand(jacobidiff.generators(params, n))
+    dmat2 = dmat @ dmat
+    g = semisep.skew_expand(builds["generators"].pair)
     # sigma_3 / sigma_1 of random blocks above the diagonal with both sides
     # >= 3, which needs n >= 7; without one such block the check is left out.
     measured = []
@@ -152,12 +154,12 @@ def cmd_verify(config: RunConfig) -> int:
     _check(
         report,
         "product_rank_additivity",
-        float(np.abs(g2.to_dense() - dmat @ dmat).max()),
-        1e-11 * max(1.0, float(np.abs(dmat @ dmat).max())),
+        float(np.abs(g2.to_dense() - dmat2).max()),
+        1e-11 * max(1.0, float(np.abs(dmat2).max())),
     )
 
     scale2 = float(np.linalg.norm(dmat, 2)) ** 2
-    eigs = np.linalg.eigvalsh((dmat @ dmat + (dmat @ dmat).T) / 2.0)
+    eigs = np.linalg.eigvalsh((dmat2 + dmat2.T) / 2.0)
     _check(report, "square_negative_semidefinite", float(eigs.max()), 1e-10 * scale2)
 
     prod_err = 0.0

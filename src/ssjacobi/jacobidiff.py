@@ -196,22 +196,23 @@ def dtilde_lower_triangle(params: JacobiParams, n_size: int) -> np.ndarray:
     cur[: mmax + 1] = _first_column_array(params, mmax)
     out[1:, 0] = cur[1:n_size]
     top = mmax  # highest valid row index of `cur`
-    for n in range(0, n_size - 2):
-        lo, hi = n + 2, top - 1
-        if lo > hi:
-            break
-        m = np.arange(lo, hi + 1)
-        nxt = np.zeros(mmax + 2, dtype=np.longdouble)
-        nxt[m] = (
-            cc[m] * cur[m - 1]
-            + (dd[m] - dd[n]) * cur[m]
-            + ee[m] * cur[m + 1]
-            - cc[n] * prev[m]
-        ) / ee[n]
-        col = n + 1
-        if col < n_size:
-            out[col + 1 : n_size, col] = nxt[col + 1 : n_size]
-        prev, cur, top = cur, nxt, hi
+    with np.errstate(over="ignore"):  # build raises where the cast to double overflows
+        for n in range(0, n_size - 2):
+            lo, hi = n + 2, top - 1
+            if lo > hi:
+                break
+            m = np.arange(lo, hi + 1)
+            nxt = np.zeros(mmax + 2, dtype=np.longdouble)
+            nxt[m] = (
+                cc[m] * cur[m - 1]
+                + (dd[m] - dd[n]) * cur[m]
+                + ee[m] * cur[m + 1]
+                - cc[n] * prev[m]
+            ) / ee[n]
+            col = n + 1
+            if col < n_size:
+                out[col + 1 : n_size, col] = nxt[col + 1 : n_size]
+            prev, cur, top = cur, nxt, hi
     return out
 
 
@@ -274,8 +275,9 @@ def _generator_vectors(params: JacobiParams, n_size: int):
     def magnitudes(p, q):
         s = p + q
         log_2m = np.log(2 * m + s + 1)
-        a_mag = np.exp(-lg_m + 0.5 * (log_2m + gammaln(m + q + 1) + gammaln(m + s + 1) - gammaln(m + p + 1)))
-        b_mag = np.exp(lg_m + 0.5 * (log_2m + gammaln(m + p + 1) - gammaln(m + q + 1) - gammaln(m + s + 1)))
+        with np.errstate(over="ignore"):  # SkewGeneratorPair raises on non-finite entries
+            a_mag = np.exp(-lg_m + 0.5 * (log_2m + gammaln(m + q + 1) + gammaln(m + s + 1) - gammaln(m + p + 1)))
+            b_mag = np.exp(lg_m + 0.5 * (log_2m + gammaln(m + p + 1) - gammaln(m + q + 1) - gammaln(m + s + 1)))
         return a_mag, b_mag
 
     a1, b1 = magnitudes(params.alpha, params.beta)

@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgbsv, dgbtrf, dgbtrs
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 __all__ = [
     "SemiSepGenerators",
@@ -232,43 +232,30 @@ def _excl_prefix(x: np.ndarray) -> np.ndarray:
 
 def _suffix(x: np.ndarray) -> np.ndarray:
     """Exclusive suffix sums along the last axis: out[n] = sum_{k>n} x[k]."""
-    c = np.cumsum(x[..., ::-1], axis=-1)[..., ::-1]
-    out = np.empty_like(c)
-    out[..., -1] = 0.0
-    out[..., :-1] = c[..., 1:]
-    return out
+    return _excl_prefix(x[..., ::-1])[..., ::-1]
 
 
-def product(ga: SemiSepGenerators, gb: SemiSepGenerators) -> SemiSepGenerators:
-    """Product of two generator forms, with rank rA + rB per triangle.
+def _transpose(g: SemiSepGenerators) -> SemiSepGenerators:
+    """A^T, by relabelling the generators (a, b, c, d, e) as (e, d, c, b, a)."""
+    return SemiSepGenerators(n=g.n, a=g.e, b=g.d, c=g.c, d=g.b, e=g.a)
 
-    This realizes the rank-additivity grouping: rB upper pairs share the
-    second factor's b-vectors, rA upper pairs share the first factor's
-    a-vectors (and symmetrically below).  All cross accumulations are
-    prefix/suffix sums, O(N rA rB) total.  The sums are finite-horizon:
-    tail sums over k > n stop at N-1, which makes the result exactly the
-    product of the N x N truncations.
-    """
-    if ga.n != gb.n:
-        raise ValueError(f"size mismatch: {ga.n} vs {gb.n}")
+
+def _product_upper(ga: SemiSepGenerators, gb: SemiSepGenerators):
+    """Upper generators (a, b) and diagonal c of A B, in extended precision."""
     n, ra, rb = ga.n, ga.rank, gb.rank
     # Accumulate the running cross sums in extended precision; entries of
     # the product can be large while the dense cross-check tolerances are
     # absolute.
-    aA, bA, dA, eA = (v.astype(np.longdouble) for v in (ga.a, ga.b, ga.d, ga.e))
-    cA = ga.c.astype(np.longdouble)
-    aB, bB, dB, eB = (v.astype(np.longdouble) for v in (gb.a, gb.b, gb.d, gb.e))
-    cB = gb.c.astype(np.longdouble)
+    aA, bA, cA, dA, eA = (v.astype(np.longdouble) for v in (ga.a, ga.b, ga.c, ga.d, ga.e))
+    aB, bB, cB, dB, eB = (v.astype(np.longdouble) for v in (gb.a, gb.b, gb.c, gb.d, gb.e))
 
     # Pairwise cross sums, shape (ra, rb, n).
     pe = _excl_prefix(eA[:, None, :] * aB[None, :, :])    # sum_{k<m} eA_k aB_k
     bp = _excl_prefix(bA[:, None, :] * aB[None, :, :])    # sum_{k<m} bA_k aB_k
     bp_inc = bp + bA[:, None, :] * aB[None, :, :]
     bs = _suffix(bA[:, None, :] * dB[None, :, :])          # sum_{k>m} bA_k dB_k
-    es = _excl_prefix(eA[:, None, :] * dB[None, :, :])    # sum_{k<m} eA_k dB_k
-    es_inc = es + eA[:, None, :] * dB[None, :, :]
 
-    # Upper triangle: rb pairs (u_j, bB_j) then ra pairs (aA_i, v_i).
+    # rb pairs (u_j, bB_j), then ra pairs (aA_i, v_i).
     ups_a, ups_b = [], []
     if rb:
         u = cA[None, :] * aB
@@ -287,38 +274,29 @@ def product(ga: SemiSepGenerators, gb: SemiSepGenerators) -> SemiSepGenerators:
     a_out = np.vstack(ups_a) if ups_a else np.zeros((0, n))
     b_out = np.vstack(ups_b) if ups_b else np.zeros((0, n))
 
-    # Lower triangle: ra pairs (dA_i, w_i) then rb pairs (z_j, eB_j).
-    los_d, los_e = [], []
-    if ra:
-        w = eA * cB[None, :]
-        if rb:
-            w = w + np.einsum("jm,ijm->im", bB, pe)
-            w = w - np.einsum("jm,ijm->im", eB, es_inc)
-        los_d.append(dA)
-        los_e.append(w)
-    if rb:
-        z = cA[None, :] * dB
-        if ra:
-            z = z + np.einsum("im,ijm->jm", dA, es)
-            z = z + np.einsum("im,ijm->jm", aA, bs)
-        los_d.append(z)
-        los_e.append(eB)
-    d_out = np.vstack(los_d) if los_d else np.zeros((0, n))
-    e_out = np.vstack(los_e) if los_e else np.zeros((0, n))
-
-    # Diagonal.
     c_out = cA * cB
     if ra and rb:
         c_out = c_out + np.einsum("im,jm,ijm->m", dA, bB, pe)
         c_out = c_out + np.einsum("im,jm,ijm->m", aA, eB, bs)
-    return SemiSepGenerators(
-        n=n,
-        a=a_out,
-        b=b_out,
-        c=c_out,
-        d=d_out,
-        e=e_out,
-    )
+    return a_out, b_out, c_out
+
+
+def product(ga: SemiSepGenerators, gb: SemiSepGenerators) -> SemiSepGenerators:
+    """Product of two generator forms, with rank rA + rB per triangle.
+
+    This realizes the rank-additivity grouping: rB upper pairs share the
+    second factor's b-vectors, rA upper pairs share the first factor's
+    a-vectors.  The lower triangle is the upper triangle of (A B)^T =
+    B^T A^T, formed by the same code on the transposed factors.  All
+    cross accumulations are prefix/suffix sums, O(N rA rB) total.  The
+    sums are finite-horizon: tail sums over k > n stop at N-1, which makes
+    the result exactly the product of the N x N truncations.
+    """
+    if ga.n != gb.n:
+        raise ValueError(f"size mismatch: {ga.n} vs {gb.n}")
+    a, b, c = _product_upper(ga, gb)
+    e, d, _ = _product_upper(_transpose(gb), _transpose(ga))
+    return SemiSepGenerators(n=ga.n, a=a, b=b, c=c, d=d, e=e)
 
 
 def truncate(g: SemiSepGenerators, n_out: int) -> SemiSepGenerators:
@@ -339,53 +317,32 @@ def truncate(g: SemiSepGenerators, n_out: int) -> SemiSepGenerators:
     )
 
 
-@dataclass(frozen=True)
 class BandedMatrix:
-    """Dense-banded storage with lower bandwidth p and upper bandwidth q.
+    """LU factor of a band matrix with lower bandwidth p and upper bandwidth q.
 
-    ``bands[k]`` holds the diagonal at offset k - q (LAPACK-style band
-    layout by columns: bands[q + i - j, j] = A[i, j]).
+    ``bands`` is LAPACK band storage, (p + q + 1, n) with
+    bands[q + i - j, j] = A[i, j].  Construction factors it once with
+    partial pivoting (gbtrf) and raises ``SingularityError`` if the band is
+    singular; each ``solve`` is then one banded triangular solve pair
+    (gbtrs).
     """
 
-    n: int
-    p: int
-    q: int
-    bands: np.ndarray  # (p + q + 1, n)
-
-    def __post_init__(self):
-        if self.bands.shape != (self.p + self.q + 1, self.n):
-            raise ValueError("band storage has the wrong shape")
-
-    @staticmethod
-    def _index(n: int, p: int, q: int):
-        """Row and column of every band slot, and which slots lie in the matrix."""
-        j = np.broadcast_to(np.arange(n), (p + q + 1, n))
-        i = j + np.arange(-q, p + 1)[:, None]
-        return i, j, (i >= 0) & (i < n)
-
-    @staticmethod
-    def from_dense(dense: np.ndarray, p: int, q: int) -> "BandedMatrix":
-        n = dense.shape[0]
-        i, j, inside = BandedMatrix._index(n, p, q)
-        bands = np.zeros((p + q + 1, n))
-        bands[inside] = dense[i[inside], j[inside]]
-        return BandedMatrix(n=n, p=p, q=q, bands=bands)
-
-    def to_dense(self) -> np.ndarray:
-        i, j, inside = BandedMatrix._index(self.n, self.p, self.q)
-        dense = np.zeros((self.n, self.n))
-        dense[i[inside], j[inside]] = self.bands[inside]
-        return dense
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Banded LU with partial pivoting (LAPACK gbsv)."""
-        ab = np.zeros((2 * self.p + self.q + 1, self.n))
-        ab[self.p:, :] = self.bands
-        lu, piv, x, info = dgbsv(self.p, self.q, ab, np.asarray(rhs, dtype=float))
-        if info < 0:  # pragma: no cover
-            raise ValueError(f"illegal argument {-info} to banded solver")
+    def __init__(self, bands: np.ndarray, p: int, q: int):
+        bands = np.asarray(bands, dtype=float)
+        if bands.ndim != 2 or bands.shape[0] != p + q + 1:
+            raise ValueError(f"band storage must have {p + q + 1} rows, got shape {bands.shape}")
+        self.n, self.p, self.q = bands.shape[1], p, q
+        ab = np.zeros((2 * p + q + 1, self.n))  # gbtrf needs p more rows for the fill-in
+        ab[p:] = bands
+        self.lu, self.piv, info = dgbtrf(ab, p, q)
         if info > 0:
             raise SingularityError("singular banded factor", info - 1)
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """The solution x of A x = rhs."""
+        x, info = dgbtrs(self.lu, self.p, self.q, np.asarray(rhs, dtype=float), self.piv)
+        if info < 0:
+            raise ValueError(f"illegal argument {-info} to banded solver")
         return x
 
 
@@ -441,7 +398,7 @@ def _annihilation_coeffs(gen: np.ndarray, n: int, r: int):
 
 def reduce_to_banded(
     g: SemiSepGenerators, shift: float
-) -> tuple[BandedMatrix, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Eliminate the generator structure of M = shift*I + A down to a band.
 
     Column sweep: column k of M C is column k of M minus a combination of
@@ -459,7 +416,8 @@ def reduce_to_banded(
     |p| <= r needs only the diagonals of M at offsets -2r .. r, which are
     read off the generators directly.
 
-    Returns the 2r+1-diagonal band B and the (n, r) row and column
+    Returns the 2r+1-diagonal band B in LAPACK band storage,
+    bands[r + i - j, j] = B[i, j], and the (n, r) row and column
     coefficients, T[m, m-i] = -row_coeffs[m, i-1] and
     C[k-j, k] = -col_coeffs[k, j-1]: (shift*I + A) x = rhs is then
     B z = T rhs with x = C z.
@@ -484,7 +442,7 @@ def reduce_to_banded(
         for i in range(min(r, r - p) + 1):       # B[k-p, k] += T[k-p, k-p-i] (M C)[k-p-i, k]
             lo = r - p - i
             bands[r - p] += ty[i, r - p : r - p + n] * mc[r + p + i, lo : lo + n]
-    return BandedMatrix(n=n, p=r, q=r, bands=bands), y, x
+    return bands, y, x
 
 
 def _row_transform(row_coeffs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -499,9 +457,9 @@ class ShiftedSolver:
     """(shift*I + A) x = rhs, factored once and solved many times.
 
     Construction runs the band reduction of ``reduce_to_banded`` once and
-    LU-factors the 2r+1-diagonal band (LAPACK gbtrf), in O(N r^2).  Each
-    ``solve`` is then the row transform of rhs, one banded triangular
-    solve pair (gbtrs) and the column back-map, in O(N r).
+    factors the 2r+1-diagonal band as a ``BandedMatrix``, in O(N r^2).
+    Each ``solve`` is then the row transform of rhs, the band's solve and
+    the column back-map, in O(N r).
 
     ``growth`` is the largest |annihilation coefficient| of the
     reduction: the factor by which elimination can amplify entries.
@@ -512,17 +470,10 @@ class ShiftedSolver:
     """
 
     def __init__(self, g: SemiSepGenerators, shift: float):
-        r = g.rank
         self.g = g
         self.shift = float(shift)
-        banded, self.row_coeffs, self.col_coeffs = reduce_to_banded(g, shift)
-        ab = np.zeros((3 * r + 1, g.n))
-        ab[r:, :] = banded.bands
-        self.lu, self.piv, info = dgbtrf(ab, r, r)
-        if info < 0:  # pragma: no cover
-            raise ValueError(f"illegal argument {-info} to banded factorization")
-        if info > 0:
-            raise SingularityError("singular banded factor", info - 1)
+        bands, self.row_coeffs, self.col_coeffs = reduce_to_banded(g, shift)
+        self.band = BandedMatrix(bands, g.rank, g.rank)
 
     @property
     def growth(self) -> float:
@@ -535,9 +486,7 @@ class ShiftedSolver:
         rhs = np.asarray(rhs, dtype=float)
         if rhs.shape != (n,):
             raise ValueError(f"rhs length {rhs.shape} does not match size {n}")
-        z, info = dgbtrs(self.lu, r, r, _row_transform(self.row_coeffs, rhs), self.piv)
-        if info < 0:  # pragma: no cover
-            raise ValueError(f"illegal argument {-info} to banded solver")
+        z = self.band.solve(_row_transform(self.row_coeffs, rhs))
         x = z.copy()
         for j in range(1, min(r, n - 1) + 1):
             x[:-j] -= self.col_coeffs[j:, j - 1] * z[j:]

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -81,7 +82,8 @@ class TestGen:
         assert not (tmp_path / "x.csv").exists()
 
     def test_generator_overflow_is_reported_without_traceback(self, tmp_path, capsys):
-        with np.errstate(over="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # the one line is all of stderr
             code = run(["gen", "--alpha", "300", "--beta", "0.1", "--n", "16",
                         "--out", str(tmp_path / "x.csv")])
         assert code == 2
@@ -155,7 +157,8 @@ class TestVerify:
         assert all(c["pass"] for c in report["checks"].values())
 
     def test_non_finite_route_is_reported_without_traceback(self, tmp_path, capsys):
-        with np.errstate(over="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # the one line is all of stderr
             code = run(["verify", "--alpha", "1", "--beta", "1000", "--n", "64",
                         "--out", str(tmp_path / "r.json")])
         assert code == 1

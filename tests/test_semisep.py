@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_banded
 
 from ssjacobi import jacobidiff, semisep
 from ssjacobi.semisep import (
@@ -37,6 +38,29 @@ def random_generators(n, rank, rng):
         d=rng.standard_normal((rank, n)),
         e=rng.standard_normal((rank, n)),
     )
+
+
+def band_offsets(n, p, q):
+    """Offsets j - i of the diagonals held in (p, q) band storage of size n."""
+    return range(max(-p, 1 - n), min(q, n - 1) + 1)
+
+
+def band_to_dense(bands, p, q):
+    """The matrix held in LAPACK band storage, bands[q + i - j, j] = A[i, j]."""
+    n = bands.shape[1]
+    dense = np.zeros((n, n))
+    for k in band_offsets(n, p, q):
+        dense += np.diag(bands[q - k, max(k, 0) : n + min(k, 0)], k)
+    return dense
+
+
+def dense_to_band(dense, p, q):
+    """LAPACK band storage of the band |j - i| <= (p below, q above) of dense."""
+    n = dense.shape[0]
+    bands = np.zeros((p + q + 1, n))
+    for k in band_offsets(n, p, q):
+        bands[q - k, max(k, 0) : n + min(k, 0)] = np.diagonal(dense, k)
+    return bands
 
 
 def ones_offdiag(n):
@@ -226,6 +250,13 @@ class TestProduct:
         assert np.linalg.eigvalsh((sq + sq.T) / 2).max() <= 1e-10 * np.abs(sq).max()
 
 
+class TestTranspose:
+    @pytest.mark.parametrize("rank", [0, 1, 2, 3])
+    def test_dense_form_is_the_transpose(self, rank):
+        g = random_generators(9, rank, np.random.default_rng(40 + rank))
+        assert np.array_equal(semisep._transpose(g).to_dense(), g.to_dense().T)
+
+
 class TestTruncate:
     def test_leading_block(self):
         rng = np.random.default_rng(14)
@@ -332,7 +363,7 @@ def dense_reduction_factors(g, shift):
     T is unit lower banded with T[m, m-i] = -row_coeffs[m, i-1], and C is
     unit upper banded with C[k-j, k] = -col_coeffs[k, j-1].
     """
-    banded, row_coeffs, col_coeffs = reduce_to_banded(g, shift)
+    bands, row_coeffs, col_coeffs = reduce_to_banded(g, shift)
     n, r = col_coeffs.shape
     assert row_coeffs.shape == (n, r)
     t_mat = np.eye(n)
@@ -341,7 +372,7 @@ def dense_reduction_factors(g, shift):
         t_mat -= np.diag(row_coeffs[j:, j - 1], -j)
         c_mat -= np.diag(col_coeffs[j:, j - 1], j)
     m_mat = shift * np.eye(n) + np.asarray(g.to_dense(), dtype=float)
-    return banded, row_coeffs, t_mat, m_mat, c_mat
+    return bands, row_coeffs, t_mat, m_mat, c_mat
 
 
 class TestReduceToBanded:
@@ -350,9 +381,9 @@ class TestReduceToBanded:
 
     @staticmethod
     def check(g, shift, rhs):
-        banded, row_coeffs, t_mat, m_mat, c_mat = dense_reduction_factors(g, shift)
+        bands, row_coeffs, t_mat, m_mat, c_mat = dense_reduction_factors(g, shift)
         n, r = g.n, g.rank
-        assert (banded.p, banded.q) == (r, r)
+        assert bands.shape == (2 * r + 1, n)
         rhs2 = semisep._row_transform(row_coeffs, rhs)
         assert np.all(np.abs(rhs2 - t_mat @ rhs) <= 1e-13 * (np.abs(t_mat) @ np.abs(rhs)))
         prod = t_mat @ m_mat @ c_mat
@@ -365,9 +396,9 @@ class TestReduceToBanded:
         scale_ = np.abs(t_mat) @ m_abs @ np.abs(c_mat)
         in_band = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) <= r
         tol = 1e-13 * scale_ + 1e-300
-        assert np.all(np.abs(banded.to_dense() - np.where(in_band, prod, 0.0)) <= tol)
+        assert np.all(np.abs(band_to_dense(bands, r, r) - np.where(in_band, prod, 0.0)) <= tol)
         assert np.all(np.abs(np.where(in_band, 0.0, prod)) <= tol)
-        x = c_mat @ banded.solve(rhs2)
+        x = c_mat @ solve_banded((r, r), bands, rhs2)
         ref = np.linalg.solve(m_mat, rhs)
         assert np.abs(x - ref).max() <= 1e-10 * max(np.abs(ref).max(), 1.0)
 
@@ -386,9 +417,10 @@ class TestReduceToBanded:
 
 
 def reference_solve(g, shift, rhs):
-    """The unfactored solve: reduce, gbsv on the band, column back-map."""
-    banded, row_coeffs, col_coeffs = reduce_to_banded(g, shift)
-    z = banded.solve(semisep._row_transform(row_coeffs, rhs))
+    """The unfactored solve: reduce, one LAPACK gbsv on the band (scipy's
+    solve_banded at rank >= 2), column back-map."""
+    bands, row_coeffs, col_coeffs = reduce_to_banded(g, shift)
+    z = solve_banded((g.rank, g.rank), bands, semisep._row_transform(row_coeffs, rhs))
     x = z.copy()
     for j in range(1, min(g.rank, g.n - 1) + 1):
         x[:-j] -= col_coeffs[j:, j - 1] * z[j:]
@@ -527,23 +559,37 @@ class TestSubmatrixRankLaw:
 
 
 class TestBandedMatrix:
-    def test_dense_round_trip(self):
-        rng = np.random.default_rng(18)
-        dense = np.triu(np.tril(rng.standard_normal((7, 7)), 1), -2)
-        banded = BandedMatrix.from_dense(dense, 2, 1)
-        assert np.allclose(banded.to_dense(), dense)
+    @staticmethod
+    def banded_dense(rng, n, p, q):
+        return np.triu(np.tril(rng.standard_normal((n, n)), q), -p) + 5 * np.eye(n)
 
     def test_solve_matches_dense(self):
         rng = np.random.default_rng(19)
-        dense = np.triu(np.tril(rng.standard_normal((9, 9)), 2), -2) + 5 * np.eye(9)
-        banded = BandedMatrix.from_dense(dense, 2, 2)
+        dense = self.banded_dense(rng, 9, 2, 2)
         rhs = rng.standard_normal(9)
+        banded = BandedMatrix(dense_to_band(dense, 2, 2), 2, 2)
         assert np.allclose(banded.solve(rhs), np.linalg.solve(dense, rhs))
 
+    def test_solves_twice_from_one_factor(self):
+        rng = np.random.default_rng(23)
+        dense = self.banded_dense(rng, 11, 2, 1)
+        banded = BandedMatrix(dense_to_band(dense, 2, 1), 2, 1)
+        for rhs in rng.standard_normal((2, 11)):
+            assert np.allclose(banded.solve(rhs), np.linalg.solve(dense, rhs))
+
     def test_singular_raises(self):
-        banded = BandedMatrix.from_dense(np.zeros((3, 3)), 0, 0)
-        with pytest.raises(SingularityError):
-            banded.solve(np.ones(3))
+        with pytest.raises(SingularityError) as info:
+            BandedMatrix(np.array([[1.0, 0.0, 2.0]]), 0, 0)
+        assert info.value.pivot_index == 1
+
+    def test_wrong_number_of_rows_raises(self):
+        with pytest.raises(ValueError):
+            BandedMatrix(np.ones((4, 6)), 2, 2)
+
+    def test_wrong_rhs_length_raises(self):
+        banded = BandedMatrix(np.ones((1, 3)), 0, 0)
+        with pytest.raises(ValueError):
+            banded.solve(np.ones(2))
 
 
 class TestJsonSerialization:
