@@ -113,19 +113,13 @@ def _first_column_array(params: JacobiParams, mmax: int) -> np.ndarray:
     # Build the two Gamma-ratio terms multiplicatively in extended
     # precision: each step multiplies by an exact rational factor, so no
     # roundoff beyond the m = 0 seeds accumulates along the column.
-    term1 = np.empty(mmax + 1, dtype=np.longdouble)
-    term2 = np.empty(mmax + 1, dtype=np.longdouble)
-    term1[0] = math.exp(
+    seed = np.longdouble(math.exp(
         (s - 1) * math.log(2.0) + math.lgamma(a + 1) + math.lgamma(b + 1)
         - math.lgamma(s + 1)
-    )
-    term2[0] = term1[0]
+    ))
     m = np.arange(mmax, dtype=np.longdouble)
-    r1 = (m + b + 1) / (m + s + 1)
-    r2 = (m + a + 1) / (m + s + 1)
-    for i in range(mmax):
-        term1[i + 1] = term1[i] * r1[i]
-        term2[i + 1] = term2[i] * r2[i]
+    term1 = np.cumprod(np.concatenate([[seed], (m + b + 1) / (m + s + 1)]))
+    term2 = np.cumprod(np.concatenate([[seed], (m + a + 1) / (m + s + 1)]))
     sign = np.where(np.arange(mmax + 1) % 2 == 0, 1.0, -1.0)
     col = term1 - sign * term2
     col[0] = 0.0
@@ -437,7 +431,7 @@ class DiffMatrixBuild:
 
     def dense(self) -> np.ndarray:
         if self.pair is not None:
-            return skew_expand(self.pair).to_dense()
+            return self._generators().to_dense()
         return _skew(self.lower_packed, self.n)
 
     def _generators(self):

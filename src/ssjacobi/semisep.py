@@ -136,14 +136,9 @@ class SemiSepGenerators:
     def to_dense(self) -> np.ndarray:
         if self.n > DENSE_CAP:
             raise ValueError(f"size {self.n} exceeds dense cap {DENSE_CAP}")
-        dense = np.diag(self.c)
-        if self.rank:
-            upper = self.a.T @ self.b
-            lower = self.d.T @ self.e
-            iu = np.triu_indices(self.n, k=1)
-            il = np.tril_indices(self.n, k=-1)
-            dense[iu] = upper[iu]
-            dense[il] = lower[il]
+        dense = np.triu(self.a.T @ self.b, 1) + np.tril(self.d.T @ self.e, -1)
+        dense = dense.astype(self.c.dtype, copy=False)  # the diagonal's dtype, as np.diag(c)
+        np.fill_diagonal(dense, self.c)
         return dense
 
     def diagonals(self, offsets) -> np.ndarray:
@@ -235,19 +230,16 @@ def _suffix(x: np.ndarray) -> np.ndarray:
     return _excl_prefix(x[..., ::-1])[..., ::-1]
 
 
-def _transpose(g: SemiSepGenerators) -> SemiSepGenerators:
-    """A^T, by relabelling the generators (a, b, c, d, e) as (e, d, c, b, a)."""
-    return SemiSepGenerators(n=g.n, a=g.e, b=g.d, c=g.c, d=g.b, e=g.a)
+def _product_upper(A: tuple, B: tuple):
+    """Upper generators (a, b) and diagonal c of A B.
 
-
-def _product_upper(ga: SemiSepGenerators, gb: SemiSepGenerators):
-    """Upper generators (a, b) and diagonal c of A B, in extended precision."""
-    n, ra, rb = ga.n, ga.rank, gb.rank
-    # Accumulate the running cross sums in extended precision; entries of
-    # the product can be large while the dense cross-check tolerances are
-    # absolute.
-    aA, bA, cA, dA, eA = (v.astype(np.longdouble) for v in (ga.a, ga.b, ga.c, ga.d, ga.e))
-    aB, bB, cB, dB, eB = (v.astype(np.longdouble) for v in (gb.a, gb.b, gb.c, gb.d, gb.e))
+    A and B are the factors' generator blocks (a, b, c, d, e), in
+    extended precision: entries of the product can be large while the
+    dense cross-check tolerances are absolute.
+    """
+    aA, bA, cA, dA, eA = A
+    aB, bB, cB, dB, eB = B
+    n, ra, rb = cA.shape[0], aA.shape[0], aB.shape[0]
 
     # Pairwise cross sums, shape (ra, rb, n).
     pe = _excl_prefix(eA[:, None, :] * aB[None, :, :])    # sum_{k<m} eA_k aB_k
@@ -287,15 +279,17 @@ def product(ga: SemiSepGenerators, gb: SemiSepGenerators) -> SemiSepGenerators:
     This realizes the rank-additivity grouping: rB upper pairs share the
     second factor's b-vectors, rA upper pairs share the first factor's
     a-vectors.  The lower triangle is the upper triangle of (A B)^T =
-    B^T A^T, formed by the same code on the transposed factors.  All
-    cross accumulations are prefix/suffix sums, O(N rA rB) total.  The
+    B^T A^T.  Reversing a block tuple (a, b, c, d, e) to (e, d, c, b, a)
+    is the transpose, so the same code forms it from the reversed blocks.
+    All cross accumulations are prefix/suffix sums, O(N rA rB) total.  The
     sums are finite-horizon: tail sums over k > n stop at N-1, which makes
     the result exactly the product of the N x N truncations.
     """
     if ga.n != gb.n:
         raise ValueError(f"size mismatch: {ga.n} vs {gb.n}")
-    a, b, c = _product_upper(ga, gb)
-    e, d, _ = _product_upper(_transpose(gb), _transpose(ga))
+    A, B = (tuple(v.astype(np.longdouble) for v in (g.a, g.b, g.c, g.d, g.e)) for g in (ga, gb))
+    a, b, c = _product_upper(A, B)
+    e, d, _ = _product_upper(B[::-1], A[::-1])
     return SemiSepGenerators(n=ga.n, a=a, b=b, c=c, d=d, e=e)
 
 
@@ -346,8 +340,9 @@ class BandedMatrix:
         return x
 
 
-def _annihilation_coeffs(gen: np.ndarray, n: int, r: int):
-    """Coefficients expressing gen[:, m] in the r rows before m.
+def _annihilation_coeffs(gen: np.ndarray):
+    """Coefficients expressing column m of the (r, n) block gen in the r
+    columns before it.
 
     x solves gen[:, m] = sum_j x_j gen[:, m-1-j] for m = r .. n-1.
     Returns an (n, r) array, zero-filled on unprocessed rows.  For r = 2
@@ -359,6 +354,7 @@ def _annihilation_coeffs(gen: np.ndarray, n: int, r: int):
     SingularityError if it is inconsistent.
     """
     gen = np.asarray(gen, dtype=float)  # local solves run in double
+    r, n = gen.shape
     x = np.zeros((n, r))
     rows = np.arange(r, n)
     if r == 0 or rows.size == 0:
@@ -423,8 +419,8 @@ def reduce_to_banded(
     B z = T rhs with x = C z.
     """
     n, r = g.n, g.rank
-    x = _annihilation_coeffs(g.b, n, r)          # (n, r), zero for k < r
-    y = _annihilation_coeffs(g.d, n, r)          # (n, r), zero for m < r
+    x = _annihilation_coeffs(g.b)                # (n, r), zero for k < r
+    y = _annihilation_coeffs(g.d)                # (n, r), zero for m < r
     # Rows of C and T, zero-padded by r on both sides so that every shift
     # below is a plain slice: cx[j, r+k] = C[k-j, k], ty[i, r+m] = T[m, m-i].
     cx = np.zeros((r + 1, n + 2 * r))

@@ -250,11 +250,48 @@ class TestProduct:
         assert np.linalg.eigvalsh((sq + sq.T) / 2).max() <= 1e-10 * np.abs(sq).max()
 
 
-class TestTranspose:
-    @pytest.mark.parametrize("rank", [0, 1, 2, 3])
-    def test_dense_form_is_the_transpose(self, rank):
-        g = random_generators(9, rank, np.random.default_rng(40 + rank))
-        assert np.array_equal(semisep._transpose(g).to_dense(), g.to_dense().T)
+def transpose(g):
+    """A^T through the public constructor: (a, b, c, d, e) read as (e, d, c, b, a)."""
+    return SemiSepGenerators(g.n, a=g.e, b=g.d, c=g.c, d=g.b, e=g.a)
+
+
+class TestProductTranspose:
+    @pytest.mark.parametrize("ra", [0, 1, 2, 3])
+    @pytest.mark.parametrize("rb", [0, 1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 9])
+    def test_product_of_transposes_is_the_transpose(self, ra, rb, n):
+        rng = np.random.default_rng(40 + 16 * ra + 4 * rb + n)
+        ga, gb = random_generators(n, ra, rng), random_generators(n, rb, rng)
+        ab = product(ga, gb).to_dense()
+        ba = product(transpose(gb), transpose(ga)).to_dense().T
+        off = ~np.eye(n, dtype=bool)
+        assert np.array_equal(ab[off], ba[off])
+        # The diagonal sums the same rank-pair terms in the other order, so
+        # it may differ in the last bits of extended precision.
+        tol = 64 * np.finfo(np.longdouble).eps * np.abs(ab).max()
+        assert np.all(np.abs(np.diag(ab) - np.diag(ba)) <= tol)
+
+    def test_one_construction_per_product(self, monkeypatch):
+        rng = np.random.default_rng(41)
+        ga, gb = random_generators(9, 2, rng), random_generators(9, 1, rng)
+        made = []
+
+        class Counting(SemiSepGenerators):
+            def __post_init__(self):
+                made.append(self.n)
+                super().__post_init__()
+
+        monkeypatch.setattr(semisep, "SemiSepGenerators", Counting)
+        product(ga, gb)
+        assert made == [9]
+
+    def test_rank_zero_dense_form_keeps_the_extended_diagonal(self):
+        g = SemiSepGenerators.diagonal(np.random.default_rng(42).standard_normal(5))
+        p = product(g, g)
+        assert p.rank == 0 and p.c.dtype == np.longdouble
+        dense = p.to_dense()
+        assert dense.dtype == np.longdouble
+        assert np.array_equal(dense, np.diag(p.c))
 
 
 class TestTruncate:
@@ -518,27 +555,27 @@ class TestAnnihilationCoeffs:
         for n in (64, 1024):
             g = skew_expand(jacobidiff.generators(JacobiParams(alpha, beta), n))
             for gen in (g.b, g.d):
-                got = semisep._annihilation_coeffs(gen, n, 2)
+                got = semisep._annihilation_coeffs(gen)
                 ref = self.batched(np.asarray(gen, dtype=float), n, 2)
                 bound = 4 * np.finfo(float).eps * np.abs(ref).max(axis=1, keepdims=True)
                 assert np.all(np.abs(got - ref) <= bound)
 
     def test_other_ranks_are_unchanged(self):
         g = random_generators(40, 3, np.random.default_rng(30))
-        assert np.array_equal(semisep._annihilation_coeffs(g.b, 40, 3), self.batched(g.b, 40, 3))
+        assert np.array_equal(semisep._annihilation_coeffs(g.b), self.batched(g.b, 40, 3))
 
     def test_singular_consistent_system_takes_least_squares(self):
         # Columns 1 and 2 are equal, so the system of m = 3 is exactly
         # singular; column 3 is twice column 2, so it is consistent.
         gen = np.array([[1.0, 2.0, 2.0, 4.0], [3.0, 1.0, 1.0, 2.0]])
-        x = semisep._annihilation_coeffs(gen, 4, 2)
+        x = semisep._annihilation_coeffs(gen)
         assert np.allclose(x[3, 0] * gen[:, 2] + x[3, 1] * gen[:, 1], gen[:, 3], atol=1e-12)
         assert np.all(np.isfinite(x))
 
     def test_singular_inconsistent_system_raises(self):
         gen = np.array([[1.0, 2.0, 2.0, 4.0], [3.0, 1.0, 1.0, 5.0]])
         with pytest.raises(SingularityError) as info:
-            semisep._annihilation_coeffs(gen, 4, 2)
+            semisep._annihilation_coeffs(gen)
         assert info.value.pivot_index == 3
 
 
