@@ -31,6 +31,7 @@ from .specfun import (
     gauss_jacobi_rule,
     hyper_pfq_at,
     jacobi_table,
+    jacobi_weight_mass,
     log_gamma,
 )
 from .semisep import ShiftedSolver, SkewGeneratorPair, scale, skew_expand
@@ -63,21 +64,20 @@ class InternalConsistencyError(ArithmeticError):
 
 def kappa_vector(params: JacobiParams, nmax: int) -> np.ndarray:
     """Normalization constants kappa_0 .. kappa_nmax making kappa_n P_n^(a,b)
-    orthonormal."""
+    orthonormal.
+
+    kappa_0^2 is the reciprocal weight mass, and each later square is the
+    one before times the exact ratio
+    kappa_{n+1}^2 / kappa_n^2 = (2n+s+3)(n+s+1)(n+1) / ((2n+s+1)(n+a+1)(n+b+1)),
+    s = a + b.  The running product is kept in extended precision and
+    rounded to double once, after the square root.
+    """
     a, b = params.alpha, params.beta
-    s = a + b
-    n = np.arange(nmax + 1, dtype=float)
-    return np.exp(
-        0.5
-        * (
-            np.log(2 * n + s + 1)
-            + gammaln(n + s + 1)
-            + gammaln(n + 1)
-            - (s + 1) * math.log(2.0)
-            - gammaln(n + a + 1)
-            - gammaln(n + b + 1)
-        )
-    )
+    s = np.longdouble(a) + b  # a double sum would shift every ratio
+    n = np.arange(nmax, dtype=np.longdouble)
+    ratios = (2 * n + s + 3) * (n + s + 1) * (n + 1) / ((2 * n + s + 1) * (n + a + 1) * (n + b + 1))
+    squares = np.cumprod(np.concatenate([[1 / np.longdouble(jacobi_weight_mass(a, b))], ratios]))
+    return np.sqrt(squares).astype(float)
 
 
 def kappa(params: JacobiParams, n: int) -> float:

@@ -3,6 +3,7 @@
 import csv
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -42,6 +43,23 @@ class TestKappa:
         # shrink; probe with a small positive value.
         small = JacobiParams(1e-8, 1e-8)
         assert kappa(small, 0) == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-6)
+
+    @pytest.mark.parametrize("alpha,beta", [(2.3, 4.1), (2.0, 2.0), (100.0, 150.0),
+                                            (0.001, 30.0), (0.5, 12.0)])
+    def test_against_mpmath(self, alpha, beta):
+        # A sum of double log-gammas was off by up to 4.6e-12 here.
+        mpmath.mp.dps = 40
+        kv = kappa_vector(JacobiParams(alpha, beta), 2047)
+        a, b = mpmath.mpf(alpha), mpmath.mpf(beta)
+        s = a + b
+        for n in range(2048):
+            ref = mpmath.sqrt(
+                (2 * n + s + 1) * mpmath.exp(
+                    mpmath.loggamma(n + s + 1) + mpmath.loggamma(n + 1)
+                    - mpmath.loggamma(n + a + 1) - mpmath.loggamma(n + b + 1)
+                ) / 2 ** (s + 1)
+            )
+            assert abs(kv[n] - ref) <= 1e-15 * ref, n
 
     def test_vector_consistency(self):
         kv = kappa_vector(P42, 6)
