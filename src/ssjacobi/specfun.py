@@ -265,12 +265,14 @@ def jacobi_weight_mass(alpha: float, beta: float) -> float:
         raise DomainError(f"weight mass requires alpha, beta > -1, got {alpha!r}, {beta!r}")
     m, n = max(math.floor(alpha), 0), max(math.floor(beta), 0)
     a0, b0 = (alpha - m) + 1, (beta - n) + 1
-    ratio = np.longdouble(beta_function(a0, b0))
     ld = np.longdouble
-    for i in range(m):
-        ratio *= (ld(a0) + i) / (ld(a0) + ld(b0) + i)
-    for j in range(n):
-        ratio *= (ld(b0) + j) / (ld(a0) + ld(b0) + m + j)
+    i, j = np.arange(m, dtype=ld), np.arange(n, dtype=ld)
+    factors = np.concatenate([
+        [ld(beta_function(a0, b0))],
+        (ld(a0) + i) / (ld(a0) + ld(b0) + i),
+        (ld(b0) + j) / (ld(a0) + ld(b0) + m + j),
+    ])
+    ratio = np.cumprod(factors)[-1]  # multiplied in order, as a loop would
     e = ld(alpha) + ld(beta) + 1
     whole = math.floor(e)
     mass = float(np.ldexp(ratio * np.exp2(e - whole), whole))
