@@ -231,12 +231,8 @@ def _suffix(x: np.ndarray) -> np.ndarray:
 
 
 def _product_upper(A: tuple, B: tuple):
-    """Upper generators (a, b) and diagonal c of A B.
-
-    A and B are the factors' generator blocks (a, b, c, d, e), in
-    extended precision: entries of the product can be large while the
-    dense cross-check tolerances are absolute.
-    """
+    """Upper generators (a, b) and diagonal c of A B, from the factors'
+    generator blocks A = (a, b, c, d, e) and B, in extended precision."""
     aA, bA, cA, dA, eA = A
     aB, bB, cB, dB, eB = B
     n, ra, rb = cA.shape[0], aA.shape[0], aB.shape[0]
@@ -287,6 +283,9 @@ def product(ga: SemiSepGenerators, gb: SemiSepGenerators) -> SemiSepGenerators:
     """
     if ga.n != gb.n:
         raise ValueError(f"size mismatch: {ga.n} vs {gb.n}")
+    # Accumulate the running cross sums in extended precision; entries of
+    # the product can be large while the dense cross-check tolerances are
+    # absolute.
     A, B = (tuple(v.astype(np.longdouble) for v in (g.a, g.b, g.c, g.d, g.e)) for g in (ga, gb))
     a, b, c = _product_upper(A, B)
     e, d, _ = _product_upper(B[::-1], A[::-1])

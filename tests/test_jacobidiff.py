@@ -121,6 +121,27 @@ class TestFirstColumn:
         for m in (2, 4, 6):
             assert abs(dtilde_first_column(P22, m)) <= 1e-14
 
+    @pytest.mark.parametrize("alpha,beta", [(0.5, 4.1), (2.3, 30.0), (300.0, 0.5)])
+    @pytest.mark.parametrize("mmax", [0, 1, 254])
+    def test_column_is_the_sequential_product(self, alpha, beta, mmax):
+        # The reference multiplies the seed by one exact ratio per step,
+        # in longdouble, in a Python loop.
+        s = alpha + beta
+        seed = np.longdouble(math.exp(
+            (s - 1) * math.log(2.0) + math.lgamma(alpha + 1) + math.lgamma(beta + 1)
+            - math.lgamma(s + 1)
+        ))
+        m = np.arange(mmax, dtype=np.longdouble)
+        term1, term2 = [seed], [seed]
+        for r1, r2 in zip((m + beta + 1) / (m + s + 1), (m + alpha + 1) / (m + s + 1)):
+            term1.append(term1[-1] * r1)
+            term2.append(term2[-1] * r2)
+        sign = np.where(np.arange(mmax + 1) % 2 == 0, 1.0, -1.0)
+        ref = np.array(term1) - sign * np.array(term2)
+        ref[0] = 0.0
+        got = jacobidiff._first_column_array(JacobiParams(alpha, beta), mmax)
+        assert got.dtype == np.longdouble and np.array_equal(got, ref)
+
 
 class TestRecurrenceCoeffs:
     def test_frozen_values(self):
