@@ -6,7 +6,8 @@ Four mutually validating construction routes:
 * ``recurrence``        -- bilateral three-term recurrence marched column
                            by column from the explicit first column;
 * ``quadrature_oracle`` -- exact Gauss-Jacobi integration of the defining
-                           integrals (polynomial times shifted weight);
+                           integral: w' is the weight (1-x)^(a-1) (1+x)^(b-1)
+                           times a line, so one rule covers every entry;
 * ``generators``        -- the rank-2 semi-separable generator vectors.
 
 The normative orientation is the lower triangle (row index larger), where
@@ -291,39 +292,34 @@ def generators(params: JacobiParams, n_size: int) -> SkewGeneratorPair:
     return SkewGeneratorPair(n=n_size, a=avec, b=bvec)
 
 
-def oracle_entry(params: JacobiParams, m: int, n: int) -> float:
-    """Lower-triangle entry from exact Gauss-Jacobi quadrature.
+def _oracle_table(params: JacobiParams, nmax: int):
+    """P_0 .. P_nmax at the nodes of the (nmax + 1)-node rule for the weight
+    (1-x)^(a-1) (1+x)^(b-1), and the rule's weights times the line
+    (a(1+x) - b(1-x)) / 2, in longdouble; together they integrate -w'/2."""
+    a, b = params.alpha, params.beta
+    rule = gauss_jacobi_rule(a - 1, b - 1, nmax + 1)
+    x = rule.nodes
+    return jacobi_table(a, b, nmax, x), 0.5 * (a * (1 + x) - b * (1 - x)) * rule.weights
 
-    Splits w' into the two shifted weights and integrates the polynomial
-    P_m P_n against each with its own Gauss rule of m + n + 2 nodes;
-    exact up to roundoff.
-    """
+
+def oracle_entry(params: JacobiParams, m: int, n: int) -> float:
+    """Lower-triangle entry by Gauss quadrature of -1/2 int w' P_m P_n with
+    m + 1 nodes: exact, since the line times P_m P_n has degree <= 2m."""
     if m < n + 1:
         raise DomainError("oracle_entry covers the lower triangle m >= n + 1")
-    a, b = params.alpha, params.beta
-    vals = []
-    for pa, pb in ((a - 1, b), (a, b - 1)):
-        rule = gauss_jacobi_rule(pa, pb, m + n + 2)
-        table = jacobi_table(a, b, m, rule.nodes)
-        vals.append(rule.integrate(table[m] * table[n]))
-    i1, i2 = vals
-    return kappa(params, m) * kappa(params, n) * (0.5 * a * i1 - 0.5 * b * i2)
+    table, weights = _oracle_table(params, m)
+    kvec = kappa_vector(params, m)
+    return float(kvec[m] * kvec[n] * (weights @ (table[m] * table[n])))
 
 
 def oracle_matrix(params: JacobiParams, n_size: int) -> np.ndarray:
-    """Full N x N differentiation matrix from the quadrature oracle, with
-    Gauss rules of N + 1 nodes."""
+    """Full N x N differentiation matrix by Gauss quadrature with N nodes:
+    exact, since the line times P_m P_n, m, n < N, has degree <= 2N - 1."""
     if n_size < 1:
         raise DomainError(f"size must be >= 1, got {n_size}")
-    a, b = params.alpha, params.beta
-    grams = []
-    # Extended precision for the Gram accumulation: the weighted sums
-    # cancel heavily near the diagonal for large indices.
-    for pa, pb in ((a - 1, b), (a, b - 1)):
-        rule = gauss_jacobi_rule(pa, pb, n_size + 1)
-        table = jacobi_table(a, b, n_size - 1, rule.nodes.astype(np.longdouble))
-        grams.append((table * rule.weights.astype(np.longdouble)) @ table.T)
-    dtilde = (0.5 * a * grams[0] - 0.5 * b * grams[1]).astype(float)
+    table, weights = _oracle_table(params, n_size - 1)
+    # The Gram is summed in longdouble: its sums cancel heavily near the diagonal.
+    dtilde = ((table * weights) @ table.T).astype(float)
     return _skew(_scaled_lower(params, dtilde), n_size)
 
 

@@ -237,6 +237,12 @@ class TestParser:
     def test_unknown_command_is_usage_error(self):
         assert run(["frobnicate"]) == 2
 
+    @pytest.mark.parametrize("argv", [["gen"], ["verify"], ["bench"], ["demo", "diffusion"]])
+    def test_parsed_defaults_are_run_config_defaults(self, argv):
+        args = cli._build_parser().parse_args(argv)
+        expected = cli.RunConfig(command=argv[0], problem=(argv[1:] or [None])[0])
+        assert cli.RunConfig(**vars(args)) == expected
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -25,7 +25,7 @@ from ssjacobi.jacobidiff import (
     t_s_integrals,
     write_dense_csv,
 )
-from ssjacobi.specfun import DomainError, JacobiParams
+from ssjacobi.specfun import DomainError, JacobiParams, gauss_jacobi_rule, jacobi_table
 
 P22 = JacobiParams(2.0, 2.0)
 P21 = JacobiParams(2.0, 1.0)
@@ -270,7 +270,25 @@ class TestGenerators:
             assert sv[1] > 1e-10 * sv[0]
 
 
+def _two_rule_oracle(params, n_size):
+    """The oracle with w' split into the two shifted weights
+    (1-x)^(a-1) (1+x)^b and (1-x)^a (1+x)^(b-1), one Gauss rule of N + 1
+    nodes and one longdouble Gram each."""
+    a, b = params.alpha, params.beta
+    grams = []
+    for pa, pb in ((a - 1, b), (a, b - 1)):
+        rule = gauss_jacobi_rule(pa, pb, n_size + 1)
+        table = jacobi_table(a, b, n_size - 1, rule.nodes)
+        grams.append((table * rule.weights) @ table.T)
+    dtilde = (0.5 * a * grams[0] - 0.5 * b * grams[1]).astype(float)
+    kvec = kappa_vector(params, n_size - 1)
+    lower = np.tril(np.outer(kvec, kvec) * dtilde, -1)
+    return lower - lower.T
+
+
 class TestOracle:
+    GRID = (0.001, 0.5, 2.3, 12.0, 30.0, 300.0, 1000.0)
+
     def test_frozen_entries(self):
         assert oracle_entry(P22, 1, 0) == pytest.approx(math.sqrt(7.0) / 2.0, rel=1e-13)
         assert abs(oracle_entry(P22, 2, 0)) <= 1e-13
@@ -285,6 +303,35 @@ class TestOracle:
         for m in range(1, 6):
             for n in range(m):
                 assert dense[m, n] == pytest.approx(oracle_entry(P22, m, n), abs=1e-12)
+
+    @pytest.mark.parametrize("n", [17, 64])
+    @pytest.mark.parametrize("a", GRID)
+    def test_one_rule_agrees_with_two_shifted_rules(self, a, n):
+        for b in self.GRID:
+            p = JacobiParams(a, b)
+            with np.errstate(all="ignore"):
+                dense, ref = oracle_matrix(p, n), _two_rule_oracle(p, n)
+            finite = np.isfinite(ref)
+            assert np.array_equal(np.isfinite(dense), finite), (a, b)
+            err = np.abs(dense - ref)[finite].max(initial=0.0)
+            assert err <= 1e-13 * np.abs(ref[finite]).max(initial=0.0), (a, b)
+
+    def test_one_rule_and_one_table_per_call(self, monkeypatch):
+        calls = []
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(jacobidiff, "gauss_jacobi_rule", counted(gauss_jacobi_rule))
+        monkeypatch.setattr(jacobidiff, "jacobi_table", counted(jacobi_table))
+        oracle_matrix(P42, 12)
+        assert calls == ["gauss_jacobi_rule", "jacobi_table"]
+        calls.clear()
+        oracle_entry(P42, 5, 2)
+        assert calls == ["gauss_jacobi_rule", "jacobi_table"]
 
 
 class TestBoundednessSums:
