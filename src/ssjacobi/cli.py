@@ -230,9 +230,12 @@ def cmd_bench(config: RunConfig) -> int:
 
     ``solve_factored`` times one ``ShiftedSolver.solve`` with the factor
     built outside the timed call: the path a stepper takes on every step
-    after its first.  A factored solve is about 30 times faster than a
-    structured one, so each of its samples times a batch of 32 calls and
-    lasts about as long as a structured-solve sample.
+    after its first.  A factored solve is 6 to 8 times faster than a
+    structured one at these sizes, so each of its samples times a batch of
+    32 calls and lasts about 4 to 5 times as long as a structured-solve
+    sample.  The random generators make gbtrf interchange rows on almost
+    every column, so ``solve_factored`` times the gbtrs path of
+    ``BandedMatrix.solve``.
     """
     rng = np.random.default_rng(config.seed)
     sizes = [2**k for k in range(12, 17)]

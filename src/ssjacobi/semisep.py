@@ -14,6 +14,7 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dtbsv
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 __all__ = [
@@ -316,8 +317,12 @@ class BandedMatrix:
     ``bands`` is LAPACK band storage, (p + q + 1, n) with
     bands[q + i - j, j] = A[i, j].  Construction factors it once with
     partial pivoting (gbtrf) and raises ``SingularityError`` if the band is
-    singular; each ``solve`` is then one banded triangular solve pair
-    (gbtrs).
+    singular.  If the factorization interchanged no rows, L is a unit lower
+    band with p subdiagonals and U an upper band with q superdiagonals
+    (there is no fill-in); ``piv`` is then None and each ``solve`` applies
+    the two bands as two BLAS banded triangular solves (tbsv).  Otherwise
+    ``lu`` and ``piv`` hold the gbtrf factor and each ``solve`` is one
+    gbtrs.  Both apply the same factor with the same arithmetic.
     """
 
     def __init__(self, bands: np.ndarray, p: int, q: int):
@@ -327,13 +332,30 @@ class BandedMatrix:
         self.n, self.p, self.q = bands.shape[1], p, q
         ab = np.zeros((2 * p + q + 1, self.n))  # gbtrf needs p more rows for the fill-in
         ab[p:] = bands
-        self.lu, self.piv, info = dgbtrf(ab, p, q)
+        lu, piv, info = dgbtrf(ab, p, q)
         if info > 0:
             raise SingularityError("singular banded factor", info - 1)
+        if (piv == np.arange(self.n)).all() and not lu[:p].any():
+            # Without interchanges the p fill-in rows stay 0, so U fits in q
+            # superdiagonals.  Row p + q is U's diagonal, which the unit-diagonal
+            # sweep over L does not read.
+            self._lower = np.asfortranarray(lu[p + q :])
+            self._upper = np.asfortranarray(lu[p : p + q + 1])
+            self.lu = self.piv = None
+        else:
+            self.lu, self.piv = lu, piv
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """The solution x of A x = rhs."""
-        x, info = dgbtrs(self.lu, self.p, self.q, np.asarray(rhs, dtype=float), self.piv)
+        """The solution x of A x = rhs, as a new array."""
+        rhs = np.asarray(rhs, dtype=float)
+        if rhs.shape != (self.n,):
+            raise ValueError(f"rhs shape {rhs.shape} does not match size {self.n}")
+        if self.piv is None:
+            # Positional arguments (incx, offx, lower, trans, diag[, overwrite_x])
+            # save f2py's keyword parsing, a third of a solve at n = 64.
+            y = dtbsv(self.p, self._lower, rhs, 1, 0, 1, 0, 1)  # unit lower
+            return dtbsv(self.q, self._upper, y, 1, 0, 0, 0, 0, 1)  # upper, in place
+        x, info = dgbtrs(self.lu, self.p, self.q, rhs, self.piv)
         if info < 0:
             raise ValueError(f"illegal argument {-info} to banded solver")
         return x
@@ -481,10 +503,12 @@ class ShiftedSolver:
         rhs = np.asarray(rhs, dtype=float)
         if rhs.shape != (n,):
             raise ValueError(f"rhs length {rhs.shape} does not match size {n}")
-        z = self.band.solve(_row_transform(self.row_coeffs, rhs))
-        x = z.copy()
-        for j in range(1, min(r, n - 1) + 1):
-            x[:-j] -= self.col_coeffs[j:, j - 1] * z[j:]
+        # The band's solve is a new array, so the back-map x = C z runs in
+        # place on it; every product reads z before any is subtracted from it.
+        x = self.band.solve(_row_transform(self.row_coeffs, rhs))
+        terms = [self.col_coeffs[j:, j - 1] * x[j:] for j in range(1, min(r, n - 1) + 1)]
+        for j, term in enumerate(terms, 1):
+            x[:-j] -= term
         return x
 
     def residual(self, x: np.ndarray, rhs: np.ndarray) -> float:

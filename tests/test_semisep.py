@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from ssjacobi import jacobidiff, semisep
 from ssjacobi.semisep import (
@@ -484,6 +485,29 @@ class TestShiftedSolver:
             assert np.array_equal(solver.solve(rhs), ref)  # the factor is not consumed
             assert np.array_equal(solve_structured(gs, 1.0, rhs), ref)
 
+    @pytest.mark.parametrize("alpha,beta", PAIRS)
+    def test_scale_minus_one_takes_the_pivoting_solve(self, alpha, beta):
+        # So that test_bit_identical_to_unfactored_solve covers gbtrs too.
+        for n in (2, 64, 16384):
+            g = skew_expand(jacobidiff.generators(JacobiParams(alpha, beta), n))
+            assert ShiftedSolver(scale(g, -1.0), 1.0).band.piv is not None
+
+    @pytest.mark.parametrize("alpha,beta", [(1.0, 1.0), (2.3, 4.1), (6.0, 1.5), (1.2, 5.7)])
+    def test_march_shifts_factor_without_interchanges(self, alpha, beta):
+        # The steppers' shifts at N = 16384, dt = 1e-3: +-sqrt(dt) for the
+        # diffusion step and -dt/2 for the Cayley step.  The triangular
+        # sweeps take U with q superdiagonals, which relies on gbtrf leaving
+        # the p fill-in rows exactly 0 when it interchanges no rows.
+        n, r = 16384, 2
+        g = skew_expand(jacobidiff.generators(JacobiParams(alpha, beta), n))
+        for s in (np.sqrt(1e-3), -np.sqrt(1e-3), -5e-4):
+            ab = np.zeros((3 * r + 1, n))
+            ab[r:] = reduce_to_banded(scale(g, s), 1.0)[0]
+            lu, piv, info = dgbtrf(ab, r, r)
+            assert info == 0 and np.array_equal(piv, np.arange(n))
+            assert not lu[:r].any()
+            assert ShiftedSolver(scale(g, s), 1.0).band.piv is None
+
     @pytest.mark.parametrize("alpha,beta,n", ACCEPTANCE)
     def test_residual_on_acceptance_grid(self, alpha, beta, n):
         g = skew_expand(jacobidiff.generators(JacobiParams(alpha, beta), n))
@@ -623,10 +647,33 @@ class TestBandedMatrix:
         with pytest.raises(ValueError):
             BandedMatrix(np.ones((4, 6)), 2, 2)
 
+    @pytest.mark.parametrize("p,q", [(0, 0), (2, 1), (1, 3), (0, 2), (3, 0), (2, 2)])
+    def test_sweeps_without_interchanges_match_gbtrs(self, p, q):
+        rng = np.random.default_rng(10 * p + q)
+        dense = self.banded_dense(rng, 40, p, q)
+        dense += np.diag(np.abs(dense).sum(axis=0))  # column dominant: no interchanges
+        bands = dense_to_band(dense, p, q)
+        banded = BandedMatrix(bands, p, q)
+        assert banded.piv is None
+        ab = np.zeros((2 * p + q + 1, 40))
+        ab[p:] = bands
+        lu, piv, _ = dgbtrf(ab, p, q)
+        rhs = rng.standard_normal(40)
+        kept = rhs.copy()
+        x = banded.solve(rhs)
+        assert np.array_equal(rhs, kept)
+        assert np.array_equal(x, dgbtrs(lu, p, q, rhs, piv)[0])
+        assert np.allclose(x, np.linalg.solve(dense, rhs))
+
     def test_wrong_rhs_length_raises(self):
-        banded = BandedMatrix(np.ones((1, 3)), 0, 0)
-        with pytest.raises(ValueError):
-            banded.solve(np.ones(2))
+        pivoting = np.array([[1e-3, 1.0, 0.0], [1.0, 1e-3, 1.0], [0.0, 1.0, 1e-3]])
+        bandeds = (BandedMatrix(np.ones((1, 3)), 0, 0),
+                   BandedMatrix(dense_to_band(pivoting, 1, 1), 1, 1))
+        assert [banded.piv is None for banded in bandeds] == [True, False]  # both paths
+        for banded in bandeds:
+            for rhs in (np.ones(2), np.ones(4), np.ones((3, 1))):
+                with pytest.raises(ValueError):
+                    banded.solve(rhs)
 
 
 class TestJsonSerialization:
