@@ -28,6 +28,8 @@ __all__ = [
     "add",
     "scale",
     "product",
+    "product_blocks",
+    "dense_blocks",
     "solve_structured",
     "truncate",
     "to_json",
@@ -134,13 +136,13 @@ class SemiSepGenerators:
             out = out + np.einsum("in,in->n", self.d, prefix)
         return out
 
+    @property
+    def blocks(self) -> tuple:
+        """The generator blocks (a, b, c, d, e)."""
+        return self.a, self.b, self.c, self.d, self.e
+
     def to_dense(self) -> np.ndarray:
-        if self.n > DENSE_CAP:
-            raise ValueError(f"size {self.n} exceeds dense cap {DENSE_CAP}")
-        dense = np.triu(self.a.T @ self.b, 1) + np.tril(self.d.T @ self.e, -1)
-        dense = dense.astype(self.c.dtype, copy=False)  # the diagonal's dtype, as np.diag(c)
-        np.fill_diagonal(dense, self.c)
-        return dense
+        return dense_blocks(self.blocks)
 
     def diagonals(self, offsets) -> np.ndarray:
         """Full-length diagonals of the matrix, zero-padded outside range.
@@ -231,43 +233,81 @@ def _suffix(x: np.ndarray) -> np.ndarray:
     return _excl_prefix(x[..., ::-1])[..., ::-1]
 
 
+def dense_blocks(blocks: tuple) -> np.ndarray:
+    """Dense form of the generator blocks (a, b, c, d, e): the strict upper
+    triangle of a^T b, c on the diagonal and the strict lower triangle of
+    d^T e, in c's dtype.
+
+    The blocks may carry the same leading axes, (..., r, n) and (..., n)
+    for c; the result is then the stack (..., n, n) of their dense forms.
+    """
+    a, b, c, d, e = blocks
+    n = c.shape[-1]
+    if n > DENSE_CAP:
+        raise ValueError(f"size {n} exceeds dense cap {DENSE_CAP}")
+    dense = np.triu(np.swapaxes(a, -1, -2) @ b, 1) + np.tril(np.swapaxes(d, -1, -2) @ e, -1)
+    dense = dense.astype(c.dtype, copy=False)  # the diagonal's dtype, as np.diag(c)
+    i = np.arange(n)
+    dense[..., i, i] = c
+    return dense
+
+
 def _product_upper(A: tuple, B: tuple):
     """Upper generators (a, b) and diagonal c of A B, from the factors'
-    generator blocks A = (a, b, c, d, e) and B, in extended precision."""
+    generator blocks A = (a, b, c, d, e) and B, with any leading axes
+    that the two share."""
     aA, bA, cA, dA, eA = A
     aB, bB, cB, dB, eB = B
-    n, ra, rb = cA.shape[0], aA.shape[0], aB.shape[0]
+    ra, rb = aA.shape[-2], aB.shape[-2]
 
-    # Pairwise cross sums, shape (ra, rb, n).
-    pe = _excl_prefix(eA[:, None, :] * aB[None, :, :])    # sum_{k<m} eA_k aB_k
-    bp = _excl_prefix(bA[:, None, :] * aB[None, :, :])    # sum_{k<m} bA_k aB_k
-    bp_inc = bp + bA[:, None, :] * aB[None, :, :]
-    bs = _suffix(bA[:, None, :] * dB[None, :, :])          # sum_{k>m} bA_k dB_k
+    # Pairwise cross sums, shape (..., ra, rb, n).
+    pe = _excl_prefix(eA[..., :, None, :] * aB[..., None, :, :])    # sum_{k<m} eA_k aB_k
+    bp = _excl_prefix(bA[..., :, None, :] * aB[..., None, :, :])    # sum_{k<m} bA_k aB_k
+    bp_inc = bp + bA[..., :, None, :] * aB[..., None, :, :]
+    bs = _suffix(bA[..., :, None, :] * dB[..., None, :, :])          # sum_{k>m} bA_k dB_k
 
     # rb pairs (u_j, bB_j), then ra pairs (aA_i, v_i).
     ups_a, ups_b = [], []
     if rb:
-        u = cA[None, :] * aB
+        u = cA[..., None, :] * aB
         if ra:
-            u = u + np.einsum("im,ijm->jm", dA, pe)
-            u = u - np.einsum("im,ijm->jm", aA, bp_inc)
+            u = u + np.einsum("...im,...ijm->...jm", dA, pe)
+            u = u - np.einsum("...im,...ijm->...jm", aA, bp_inc)
         ups_a.append(u)
         ups_b.append(bB)
     if ra:
-        v = bA * cB[None, :]
+        v = bA * cB[..., None, :]
         if rb:
-            v = v + np.einsum("jm,ijm->im", bB, bp)
-            v = v + np.einsum("jm,ijm->im", eB, bs)
+            v = v + np.einsum("...jm,...ijm->...im", bB, bp)
+            v = v + np.einsum("...jm,...ijm->...im", eB, bs)
         ups_a.append(aA)
         ups_b.append(v)
-    a_out = np.vstack(ups_a) if ups_a else np.zeros((0, n))
-    b_out = np.vstack(ups_b) if ups_b else np.zeros((0, n))
+    empty = np.zeros(cA.shape[:-1] + (0, cA.shape[-1]))
+    a_out = np.concatenate(ups_a, axis=-2) if ups_a else empty
+    b_out = np.concatenate(ups_b, axis=-2) if ups_b else empty
 
     c_out = cA * cB
     if ra and rb:
-        c_out = c_out + np.einsum("im,jm,ijm->m", dA, bB, pe)
-        c_out = c_out + np.einsum("im,jm,ijm->m", aA, eB, bs)
+        c_out = c_out + np.einsum("...im,...jm,...ijm->...m", dA, bB, pe)
+        c_out = c_out + np.einsum("...im,...jm,...ijm->...m", aA, eB, bs)
     return a_out, b_out, c_out
+
+
+def product_blocks(A: tuple, B: tuple) -> tuple:
+    """Generator blocks (a, b, c, d, e) of the product of the generator
+    forms with blocks A = (a, b, c, d, e) and B, as ``product`` forms them.
+
+    The blocks may carry the same leading axes, (..., r, n) and (..., n)
+    for c: each item of the stack is multiplied with the arithmetic of
+    one ``product`` call, so a stack of pairs costs one call.
+    """
+    # Accumulate the running cross sums in extended precision; entries of
+    # the product can be large while the dense cross-check tolerances are
+    # absolute.
+    A, B = (tuple(v.astype(np.longdouble) for v in blocks) for blocks in (A, B))
+    a, b, c = _product_upper(A, B)
+    e, d, _ = _product_upper(B[::-1], A[::-1])
+    return a, b, c, d, e
 
 
 def product(ga: SemiSepGenerators, gb: SemiSepGenerators) -> SemiSepGenerators:
@@ -284,12 +324,7 @@ def product(ga: SemiSepGenerators, gb: SemiSepGenerators) -> SemiSepGenerators:
     """
     if ga.n != gb.n:
         raise ValueError(f"size mismatch: {ga.n} vs {gb.n}")
-    # Accumulate the running cross sums in extended precision; entries of
-    # the product can be large while the dense cross-check tolerances are
-    # absolute.
-    A, B = (tuple(v.astype(np.longdouble) for v in (g.a, g.b, g.c, g.d, g.e)) for g in (ga, gb))
-    a, b, c = _product_upper(A, B)
-    e, d, _ = _product_upper(B[::-1], A[::-1])
+    a, b, c, d, e = product_blocks(ga.blocks, gb.blocks)
     return SemiSepGenerators(n=ga.n, a=a, b=b, c=c, d=d, e=e)
 
 

@@ -2,7 +2,11 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -175,6 +179,91 @@ class TestVerify:
                     "--out", str(out)]) == 1
 
 
+def reference_product_error(n, rng):
+    """The rank-1 product check pair by pair: one ``product`` per pair."""
+    prod_err = 0.0
+    for _ in range(cli.PRODUCT_CHECK_PAIRS):
+        ga = cli._random_generators(n, 1, rng)
+        gb = cli._random_generators(n, 1, rng)
+        dp = ga.to_dense() @ gb.to_dense()
+        err = np.abs(semisep.product(ga, gb).to_dense() - dp).max()
+        prod_err = max(prod_err, float(err / max(np.abs(dp).max(), 1e-30)))
+    return prod_err
+
+
+def recording_product_blocks(monkeypatch, n, plant=None):
+    """Record the stacks of pairs passed to ``product_blocks``; ``plant(c)``
+    may change the product diagonal of the last pair of the last stack."""
+    real = semisep.product_blocks
+    stacks = []
+    per_chunk = max(1, cli.PRODUCT_CHECK_ENTRIES // n**2)
+    chunks = -(-cli.PRODUCT_CHECK_PAIRS // per_chunk)
+
+    def wrapped(A, B):
+        out = real(A, B)
+        if np.ndim(A[2]) == 2:  # a stack of pairs, not verify's D D
+            stacks.append((A, B))
+            if plant is not None and len(stacks) == chunks:
+                plant(out[2][-1])
+        return out
+
+    monkeypatch.setattr(semisep, "product_blocks", wrapped)
+    return stacks
+
+
+def last_pair_scale(stacks):
+    """max |A B| of the last pair of the last stack."""
+    A, B = stacks[-1]
+    ga, gb = (semisep.SemiSepGenerators(len(f[2][-1]), *(v[-1] for v in f)) for f in (A, B))
+    return float(np.abs(ga.to_dense() @ gb.to_dense()).max())
+
+
+class TestRank1ProductCheck:
+    """verify's rank-1 product check runs its pairs in stacks."""
+
+    @pytest.mark.parametrize("n,sizes", [(3, [20]), (48, [7, 7, 6]), (128, [1] * 20)])
+    def test_stacks_match_the_pair_by_pair_loop(self, n, sizes, monkeypatch):
+        stacks = recording_product_blocks(monkeypatch, n)
+        got = cli._rank1_product_error(n, np.random.default_rng(5))
+        assert [len(A[2]) for A, _ in stacks] == sizes
+        assert got == reference_product_error(n, np.random.default_rng(5))
+
+    def test_draws_leave_the_generator_where_the_loop_does(self):
+        rng, ref = np.random.default_rng(6), np.random.default_rng(6)
+        cli._rank1_product_error(48, rng)
+        reference_product_error(48, ref)
+        assert rng.standard_normal() == ref.standard_normal()
+
+    def run_planted(self, plant, monkeypatch, tmp_path):
+        stacks = recording_product_blocks(monkeypatch, 48, plant)
+        out = tmp_path / "report.json"
+        code = run(["verify", "--n", "48", "--seed", "3", "--out", str(out)])
+        return code, json.loads(out.read_text())["checks"], stacks
+
+    def test_planted_error_in_the_last_pair_fails(self, monkeypatch, tmp_path, capsys):
+        def plant(c):
+            c[10] += 1e-6
+
+        code, checks, stacks = self.run_planted(plant, monkeypatch, tmp_path)
+        assert code == 1
+        assert "FAIL rank1_product_dense_agreement" in capsys.readouterr().out
+        assert [name for name, c in checks.items() if not c["pass"]] == [
+            "rank1_product_dense_agreement"
+        ]
+        assert checks["rank1_product_dense_agreement"]["max_error"] == pytest.approx(
+            1e-6 / last_pair_scale(stacks), rel=1e-6
+        )
+
+    def test_non_finite_product_fails(self, monkeypatch, tmp_path):
+        def plant(c):
+            c[0] = np.nan
+
+        code, checks, _ = self.run_planted(plant, monkeypatch, tmp_path)
+        assert code == 1
+        check = checks["rank1_product_dense_agreement"]
+        assert np.isnan(check["max_error"]) and not check["pass"]
+
+
 class TestDemo:
     def test_diffusion(self, tmp_path, capsys):
         out = tmp_path / "series.csv"
@@ -242,6 +331,34 @@ class TestParser:
         args = cli._build_parser().parse_args(argv)
         expected = cli.RunConfig(command=argv[0], problem=(argv[1:] or [None])[0])
         assert cli.RunConfig(**vars(args)) == expected
+
+    def test_parser_is_built_once(self):
+        assert cli._parser() is cli._parser()
+
+    def test_calls_in_one_process_match_fresh_processes(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        argvs = [
+            ["verify", "--alpha", "3", "--beta", "5", "--n", "12", "--seed", "4"],
+            ["verify", "--bogus"],
+            ["verify", "--n", "9"],
+            ["gen", "--n", "7", "--format", "json"],
+        ]
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+
+        def call(argv, fresh):
+            out.unlink(missing_ok=True)
+            argv = argv + ["--out", str(out)]
+            if fresh:
+                proc = subprocess.run([sys.executable, "-m", "ssjacobi.cli", *argv],
+                                      env=env, capture_output=True, text=True, timeout=120)
+                code, printed = proc.returncode, (proc.stdout, proc.stderr)
+            else:
+                code, printed = run(argv), tuple(capsys.readouterr())
+            return code, out.read_bytes() if out.exists() else None, printed
+
+        shared = [call(argv, fresh=False) for argv in argvs]
+        assert shared == [call(argv, fresh=True) for argv in argvs]
+        assert [code for code, *_ in shared] == [0, 2, 0, 0]
 
     @pytest.mark.parametrize(
         "argv",

@@ -18,8 +18,10 @@ from ssjacobi.semisep import (
     SingularityError,
     SkewGeneratorPair,
     add,
+    dense_blocks,
     from_json,
     product,
+    product_blocks,
     reduce_to_banded,
     scale,
     skew_expand,
@@ -293,6 +295,56 @@ class TestProductTranspose:
         dense = p.to_dense()
         assert dense.dtype == np.longdouble
         assert np.array_equal(dense, np.diag(p.c))
+
+
+def stacked_blocks(lead, n, rank, rng, dtype):
+    """Random generator blocks (a, b, c, d, e) with leading axes ``lead``."""
+    return tuple(
+        rng.standard_normal(lead + shape).astype(dtype)
+        for shape in ((rank, n), (rank, n), (n,), (rank, n), (rank, n))
+    )
+
+
+def item(blocks, index):
+    return SemiSepGenerators(len(blocks[2][index]), *(v[index] for v in blocks))
+
+
+class TestStackedBlocks:
+    """`product_blocks` and `dense_blocks` on stacks: each item as one call."""
+
+    LEAD = (2, 3)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+    @pytest.mark.parametrize("rank", [0, 1, 2])
+    def test_stacked_product_is_the_product_of_each_pair(self, rank, dtype):
+        rng = np.random.default_rng(60 + rank)
+        A = stacked_blocks(self.LEAD, 9, rank, rng, dtype)
+        B = stacked_blocks(self.LEAD, 9, rank, rng, dtype)
+        stack = product_blocks(A, B)
+        dense = dense_blocks(stack)
+        assert dense.shape == self.LEAD + (9, 9) and dense.dtype == np.longdouble
+        for index in np.ndindex(self.LEAD):
+            one = product(item(A, index), item(B, index))
+            for got, want in zip(stack, one.blocks):
+                assert np.array_equal(got[index], want)
+            assert np.array_equal(dense[index], one.to_dense())
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+    @pytest.mark.parametrize("rank", [0, 1, 2])
+    def test_stacked_dense_form_is_each_dense_form(self, rank, dtype):
+        blocks = stacked_blocks(self.LEAD, 7, rank, np.random.default_rng(70 + rank), dtype)
+        dense = dense_blocks(blocks)
+        assert dense.shape == self.LEAD + (7, 7) and dense.dtype == dtype
+        for index in np.ndindex(self.LEAD):
+            want = item(blocks, index).to_dense()
+            assert dense[index].dtype == want.dtype
+            assert np.array_equal(dense[index], want)
+
+    def test_dense_cap_applies_to_stacks(self):
+        n = DENSE_CAP + 1
+        z = np.zeros((2, 0, n))
+        with pytest.raises(ValueError, match="dense cap"):
+            dense_blocks((z, z, np.zeros((2, n)), z, z))
 
 
 class TestTruncate:
