@@ -77,7 +77,7 @@ def cmd_gen(config: RunConfig) -> int:
                 file=sys.stderr,
             )
             return EXIT_USAGE
-        text = semisep.to_json(semisep.skew_expand(build.pair))
+        text = semisep.to_json(build.pair)
         with open(out, "w") as fh:
             fh.write(text)
     else:
@@ -138,7 +138,7 @@ def cmd_verify(config: RunConfig) -> int:
 
     dmat = mats["generators"]
     dmat2 = dmat @ dmat
-    g = semisep.skew_expand(builds["generators"].pair)
+    g = builds["generators"].pair
     # sigma_3 / sigma_1 of random blocks above the diagonal with both sides
     # >= 3, which needs n >= 7; without one such block the check is left out.
     measured = []
@@ -345,7 +345,10 @@ def cmd_demo(config: RunConfig) -> int:
     return EXIT_OK if conserved else EXIT_VERIFY_FAIL
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser: building it costs about a millisecond,
+    which in-process callers of ``main`` would pay on every call."""
     parser = argparse.ArgumentParser(
         prog="ssjacobi",
         description="Structured differentiation matrices for weighted Jacobi bases",
@@ -382,13 +385,6 @@ def _build_parser() -> argparse.ArgumentParser:
     for p in (pg, pv, pb, pd):
         p.add_argument("--out")
     return parser
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The process's one parser: building it costs about a millisecond,
-    which in-process callers of ``main`` would pay on every call."""
-    return _build_parser()
 
 
 def main(argv=None) -> int:

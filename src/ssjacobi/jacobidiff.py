@@ -35,7 +35,7 @@ from .specfun import (
     jacobi_weight_mass,
     log_gamma,
 )
-from .semisep import ShiftedSolver, SkewGeneratorPair, scale, skew_expand
+from .semisep import ShiftedSolver, SkewGeneratorPair, scale
 
 __all__ = [
     "DiffMatrixBuild",
@@ -283,7 +283,7 @@ def _generator_vectors(params: JacobiParams, n_size: int):
 def generators(params: JacobiParams, n_size: int) -> SkewGeneratorPair:
     """Rank-2 skew generator pair of the N x N differentiation matrix.
 
-    The lower-triangle entry (m, n) of the skew expansion is
+    The lower-triangle entry (m, n) of the pair is d_m . e_n =
     b_m . (-a_n), with the normative orientation.
     """
     if n_size < 1:
@@ -320,21 +320,18 @@ def oracle_matrix(params: JacobiParams, n_size: int) -> np.ndarray:
     table, weights = _oracle_table(params, n_size - 1)
     # The Gram is summed in longdouble: its sums cancel heavily near the diagonal.
     dtilde = ((table * weights) @ table.T).astype(float)
-    return _skew(_scaled_lower(params, dtilde), n_size)
+    return _skew(_scaled_lower(params, dtilde))
 
 
 def _scaled_lower(params: JacobiParams, dtilde: np.ndarray) -> np.ndarray:
-    """kappa_m kappa_n dtilde[m, n] on the strict lower triangle, packed row-major."""
-    rows, cols = np.tril_indices(dtilde.shape[0], k=-1)
+    """kappa_m kappa_n dtilde[m, n] on the strict lower triangle, 0 elsewhere."""
     kvec = kappa_vector(params, dtilde.shape[0] - 1)
-    return kvec[rows] * kvec[cols] * dtilde[rows, cols]
+    return np.tril(kvec[:, None] * kvec * dtilde, -1)
 
 
-def _skew(lower_packed: np.ndarray, n_size: int) -> np.ndarray:
-    """The skew-symmetric N x N matrix with the given packed strict lower triangle."""
-    dense = np.zeros((n_size, n_size))
-    dense[np.tril_indices(n_size, k=-1)] = lower_packed
-    return dense - dense.T
+def _skew(lower: np.ndarray) -> np.ndarray:
+    """The skew-symmetric matrix with the given strict lower triangle."""
+    return lower - lower.T
 
 
 _SUM_MAX_TERMS = 10_000
@@ -409,38 +406,35 @@ _FACTOR_CACHE_SIZE = 4
 class DiffMatrixBuild:
     """A constructed N x N differentiation matrix D.
 
-    Dense routes store the strict lower triangle packed row-major; the
-    generator route stores the rank-2 skew pair.  Both implement the two
-    operations the steppers need, ``matvec`` and ``solve_shifted``: in
-    O(N) through the generators, densely otherwise.  A generator build
-    expands its pair once, factors I + s D once per shift s and keeps the
+    Dense routes store D as a read-only N x N ``matrix``; the generator
+    route stores the rank-2 skew ``pair``, which is its generator form.
+    Both implement the two operations the steppers need, ``matvec`` and
+    ``solve_shifted``: in O(N) through the generators, densely otherwise.
+    A generator build factors I + s D once per shift s and keeps the
     factors of the last few shifts, so repeated steps at one dt only
-    solve.
+    solve.  A dense build caches nothing: each of its solves is one
+    ``numpy.linalg.solve``.
     """
 
     params: JacobiParams
     n: int
     source: str
-    lower_packed: np.ndarray | None = None
+    matrix: np.ndarray | None = None
     pair: SkewGeneratorPair | None = None
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def dense(self) -> np.ndarray:
+        """D as an N x N array: a new one from the generators, else the
+        read-only ``matrix``."""
         if self.pair is not None:
-            return self._generators().to_dense()
-        return _skew(self.lower_packed, self.n)
-
-    def _generators(self):
-        """The expanded generators of the pair; built once."""
-        if "generators" not in self._cache:
-            self._cache["generators"] = skew_expand(self.pair)
-        return self._cache["generators"]
+            return self.pair.to_dense()
+        return self.matrix
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """D @ v."""
         if self.pair is not None:
-            return self._generators().matvec(v)
-        return self.dense() @ v
+            return self.pair.matvec(v)
+        return self.matrix @ v
 
     def solve_shifted(self, s: float, rhs: np.ndarray) -> np.ndarray:
         """The solution x of (I + s D) x = rhs.
@@ -449,11 +443,11 @@ class DiffMatrixBuild:
         ``numpy.linalg.LinAlgError`` (dense) if the system is singular.
         """
         if self.pair is None:
-            return np.linalg.solve(np.eye(self.n) + s * self.dense(), rhs)
+            return np.linalg.solve(np.eye(self.n) + s * self.matrix, rhs)
         s = float(s)
         factors = self._cache.setdefault("factors", {})
         if s not in factors:
-            solver = ShiftedSolver(scale(self._generators(), s), 1.0)
+            solver = ShiftedSolver(scale(self.pair, s), 1.0)
             if len(factors) >= _FACTOR_CACHE_SIZE:
                 del factors[next(iter(factors))]  # the oldest
             factors[s] = solver
@@ -468,19 +462,22 @@ def build(params: JacobiParams, n_size: int, source: str) -> DiffMatrixBuild:
         raise ValueError(f"unknown source {source!r}; expected one of {SOURCES}")
     if source == "generators":
         return DiffMatrixBuild(params=params, n=n_size, source=source, pair=generators(params, n_size))
-    rows, cols = np.tril_indices(n_size, k=-1)
     if source == "closed_form":
-        lower = _closed_form_lower(params, rows, cols)
+        rows, cols = np.tril_indices(n_size, k=-1)
+        lower = np.zeros((n_size, n_size))
+        lower[rows, cols] = _closed_form_lower(params, rows, cols)
+        matrix = _skew(lower)
     elif source == "recurrence":
-        lower = _scaled_lower(params, dtilde_lower_triangle(params, n_size))
+        matrix = _skew(_scaled_lower(params, dtilde_lower_triangle(params, n_size)))
     else:
-        lower = oracle_matrix(params, n_size)[rows, cols]
-    if not np.all(np.isfinite(lower)):
+        matrix = oracle_matrix(params, n_size)
+    if not np.all(np.isfinite(matrix)):
         raise FloatingPointError(
             f"{source} route gives non-finite entries at "
             f"(alpha, beta, N) = ({params.alpha!r}, {params.beta!r}, {n_size})"
         )
-    return DiffMatrixBuild(params=params, n=n_size, source=source, lower_packed=lower)
+    matrix.flags.writeable = False
+    return DiffMatrixBuild(params=params, n=n_size, source=source, matrix=matrix)
 
 
 def write_dense_csv(build_result: DiffMatrixBuild, path) -> None:

@@ -163,41 +163,29 @@ class SemiSepGenerators:
         return out
 
 
-@dataclass(frozen=True)
-class SkewGeneratorPair:
-    """Upper-triangle generators (a, b) of a skew-symmetric matrix.
+class SkewGeneratorPair(SemiSepGenerators):
+    """Generator form of a skew-symmetric matrix, from its upper-triangle
+    generators (a, b): c = 0, d = b and e = -a, so that the dense matrix
+    satisfies A + A^T = 0 exactly.
 
-    Expands to the full form with c = 0, d = b, e = -a, so that the dense
-    matrix satisfies A + A^T = 0 exactly.  The pair keeps read-only copies
-    of a and b, so a factorization cached for it cannot go stale.
+    d is b itself, not a copy.  All five blocks are read-only, and a and b
+    are copies of the arguments, so a factorization cached for the pair
+    cannot go stale.
     """
 
-    n: int
-    a: np.ndarray
-    b: np.ndarray
-
-    def __post_init__(self):
-        for name, what in (("a", "skew a"), ("b", "skew b")):
-            block = _as_gen_block(getattr(self, name), self.n, what).copy()
-            block.flags.writeable = False
-            object.__setattr__(self, name, block)
-        if self.a.shape != self.b.shape:
+    def __init__(self, n: int, a, b):
+        a, b = (_as_gen_block(v, n, what).copy() for v, what in ((a, "skew a"), (b, "skew b")))
+        if a.shape != b.shape:
             raise ValueError("skew generator blocks must share a shape")
-
-    @property
-    def rank(self) -> int:
-        return self.a.shape[0]
+        super().__init__(n=n, a=a, b=b, c=np.zeros(n), d=b, e=-a)
+        for block in self.blocks:
+            block.flags.writeable = False
 
 
 def skew_expand(pair: SkewGeneratorPair) -> SemiSepGenerators:
-    return SemiSepGenerators(
-        n=pair.n,
-        a=pair.a,
-        b=pair.b,
-        c=np.zeros(pair.n),
-        d=pair.b.copy(),
-        e=-pair.a,
-    )
+    """The generator form of the pair: the pair itself, since a
+    ``SkewGeneratorPair`` is a ``SemiSepGenerators``."""
+    return pair
 
 
 def add(ga: SemiSepGenerators, gb: SemiSepGenerators) -> SemiSepGenerators:

@@ -86,10 +86,6 @@ class QuadratureRule:
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
-    def integrate(self, values: np.ndarray) -> float:
-        """Integrate a function given by its values at the nodes."""
-        return float(self.weights @ values)
-
 
 def log_gamma(z: float) -> float:
     """ln Gamma(z) for z > 0."""
@@ -230,21 +226,18 @@ def connection_check(alpha: float, beta: float, n: int, x) -> tuple[float, float
     if alpha <= 0 or beta <= 0:
         raise DomainError("connection_check requires alpha, beta > 0")
     s = alpha + beta
-    pn = jacobi_eval(alpha, beta, n, x)
-    pnm1 = jacobi_eval(alpha, beta, n - 1, x) if n >= 1 else 0.0
-    lead_beta = (2 * n + s) * jacobi_eval(alpha, beta - 1, n, x)
-    lead_alpha = (2 * n + s) * jacobi_eval(alpha - 1, beta, n, x)
-    mid = (n + s) * pn
-    tail_beta = (n + alpha) * pnm1
-    tail_alpha = (n + beta) * pnm1
-    scale_beta = np.maximum(
-        np.abs(lead_beta), np.maximum(np.abs(mid), np.abs(tail_beta))
-    )
-    scale_alpha = np.maximum(
-        np.abs(lead_alpha), np.maximum(np.abs(mid), np.abs(tail_alpha))
-    )
-    res_beta = (lead_beta - mid - tail_beta) / np.maximum(scale_beta, 1.0)
-    res_alpha = (lead_alpha - mid + tail_alpha) / np.maximum(scale_alpha, 1.0)
+    table = jacobi_table(alpha, beta, n, np.ravel(np.asarray(x, dtype=float)))
+    table = table.reshape((n + 1,) + np.shape(x))
+    mid = (n + s) * table[n]
+    pnm1 = table[n - 1] if n >= 1 else 0.0
+
+    def residual(a_low, b_low, tail):  # (2n+s) P_n^(a_low,b_low) - (n+s) P_n - tail
+        lead = (2 * n + s) * jacobi_eval(a_low, b_low, n, x)
+        scale = np.maximum(np.abs(lead), np.maximum(np.abs(mid), np.abs(tail)))
+        return (lead - mid - tail) / np.maximum(scale, 1.0)
+
+    res_alpha = residual(alpha - 1, beta, -(n + beta) * pnm1)
+    res_beta = residual(alpha, beta - 1, (n + alpha) * pnm1)
     return res_alpha, res_beta
 
 

@@ -289,8 +289,8 @@ class TestDemo:
              "--source", "generators", "--out", str(a)])
         run(["demo", "diffusion", "--n", "32", "--steps", "20",
              "--source", "closed_form", "--out", str(b)])
-        na = np.array([float(r[2]) for r in list(csv.reader(open(a)))[1:]])
-        nb = np.array([float(r[2]) for r in list(csv.reader(open(b)))[1:]])
+        na = np.array([float(r[2]) for r in list(csv.reader(a.read_text().splitlines()))[1:]])
+        nb = np.array([float(r[2]) for r in list(csv.reader(b.read_text().splitlines()))[1:]])
         assert np.abs(na - nb).max() <= 1e-9
 
     @pytest.mark.parametrize(
@@ -328,7 +328,7 @@ class TestParser:
 
     @pytest.mark.parametrize("argv", [["gen"], ["verify"], ["bench"], ["demo", "diffusion"]])
     def test_parsed_defaults_are_run_config_defaults(self, argv):
-        args = cli._build_parser().parse_args(argv)
+        args = cli._parser().parse_args(argv)
         expected = cli.RunConfig(command=argv[0], problem=(argv[1:] or [None])[0])
         assert cli.RunConfig(**vars(args)) == expected
 

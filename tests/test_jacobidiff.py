@@ -389,15 +389,67 @@ class TestBuild:
 
     def test_generator_build_carries_pair(self):
         b = build(P22, 8, "generators")
-        assert b.pair is not None and b.lower_packed is None
+        pair = b.pair
+        assert b.matrix is None
+        assert isinstance(pair, semisep.SemiSepGenerators)
+        assert np.shares_memory(pair.d, pair.b) and np.array_equal(pair.d, pair.b)
+        assert np.array_equal(pair.e, -pair.a)
+        assert np.array_equal(pair.c, np.zeros(8))
+        for block in pair.blocks:
+            assert not block.flags.writeable
+        assert semisep.skew_expand(pair) is pair
         assert b.dense().shape == (8, 8)
 
-    def test_dense_build_packs_lower_triangle(self):
-        b = build(P22, 8, "closed_form")
-        assert b.pair is None
-        assert b.lower_packed.shape == (8 * 7 // 2,)
-        dense = b.dense()
-        assert np.array_equal(dense, -dense.T)
+    def test_dense_build_stores_read_only_matrix(self):
+        for source in ("closed_form", "recurrence", "quadrature_oracle"):
+            b = build(P22, 8, source)
+            assert b.pair is None
+            assert b.dense() is b.matrix
+            with pytest.raises(ValueError):
+                b.matrix[1, 0] = 0.0
+            assert np.array_equal(b.matrix, -b.matrix.T)
+
+    @pytest.mark.parametrize("params", [P22, P42, JacobiParams(0.5, 7.0)])
+    @pytest.mark.parametrize("n", [1, 2, 24])
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_bit_identical_to_packed_and_expanded_forms(self, source, n, params):
+        """Every route gives, bit for bit, what it gave when dense routes
+        stored a packed lower triangle and the skew pair was expanded into
+        a separate SemiSepGenerators with d a copy of b."""
+        rows, cols = np.tril_indices(n, k=-1)
+        kvec = kappa_vector(params, n - 1)
+        if source == "generators":
+            a, b = jacobidiff._generator_vectors(params, n)
+            g = semisep.SemiSepGenerators(n, a, b, np.zeros(n), b.copy(), -a)
+            dense, matvec = g.to_dense(), g.matvec
+
+            def solve(s, v):
+                return semisep.ShiftedSolver(semisep.scale(g, s), 1.0).solve(v)
+        else:
+            if source == "closed_form":
+                lower_packed = jacobidiff._closed_form_lower(params, rows, cols)
+            else:
+                if source == "recurrence":
+                    dtilde = dtilde_lower_triangle(params, n)
+                else:
+                    table, weights = jacobidiff._oracle_table(params, n - 1)
+                    dtilde = ((table * weights) @ table.T).astype(float)
+                lower_packed = kvec[rows] * kvec[cols] * dtilde[rows, cols]
+            dense = np.zeros((n, n))
+            dense[rows, cols] = lower_packed
+            dense = dense - dense.T
+
+            def matvec(v):
+                return dense @ v
+
+            def solve(s, v):
+                return np.linalg.solve(np.eye(n) + s * dense, v)
+        built = build(params, n, source)
+        v = np.random.default_rng(n).standard_normal(n)
+        assert np.array_equal(built.dense(), dense)
+        assert np.array_equal(built.matvec(v), matvec(v))
+        for s in (0.1, -0.1):
+            assert np.array_equal(built.solve_shifted(s, v), solve(s, v))
 
     @pytest.mark.parametrize("source", SOURCES)
     @pytest.mark.parametrize("n", [1, 2, 24])

@@ -244,10 +244,9 @@ class TestProduct:
 
     def test_skew_square_structure(self):
         params = JacobiParams(2.0, 2.0)
-        pair = jacobidiff.generators(params, 16)
-        g = skew_expand(pair)
+        g = jacobidiff.generators(params, 16)
         sq = np.asarray(product(g, g).to_dense(), dtype=float)
-        dmat = skew_expand(pair).to_dense()
+        dmat = g.to_dense()
         assert np.abs(sq - dmat @ dmat).max() <= 1e-11
         assert np.abs(sq - sq.T).max() <= 1e-11
         assert np.linalg.eigvalsh((sq + sq.T) / 2).max() <= 1e-10 * np.abs(sq).max()
@@ -384,7 +383,7 @@ class TestSkewExpand:
 
     def test_exact_skew_symmetry(self):
         params = JacobiParams(4.0, 2.0)
-        dense = skew_expand(jacobidiff.generators(params, 32)).to_dense()
+        dense = jacobidiff.generators(params, 32).to_dense()
         assert np.array_equal(dense, -dense.T)
 
 
@@ -396,24 +395,22 @@ class TestSolveStructured:
 
     def test_diffusion_system_matches_dense(self):
         params = JacobiParams(2.0, 2.0)
-        pair = jacobidiff.generators(params, 64)
-        g = skew_expand(pair)
+        g = jacobidiff.generators(params, 64)
         sq = product(g, g)
         rhs = np.zeros(64)
         rhs[0] = 1.0
         x = np.asarray(solve_structured(scale(sq, -1e-2), 1.0, rhs), dtype=float)
-        dmat = skew_expand(pair).to_dense()
+        dmat = g.to_dense()
         ref = np.linalg.solve(np.eye(64) - 1e-2 * (dmat @ dmat), rhs)
         assert np.abs(x - ref).max() <= 1e-10
 
     def test_cayley_system_matches_dense(self):
         params = JacobiParams(2.0, 2.0)
-        pair = jacobidiff.generators(params, 128)
-        g = skew_expand(pair)
+        g = jacobidiff.generators(params, 128)
         rng = np.random.default_rng(15)
         rhs = rng.standard_normal(128)
         x = solve_structured(scale(g, -0.5e-2), 1.0, rhs)
-        dmat = skew_expand(pair).to_dense()
+        dmat = g.to_dense()
         ref = np.linalg.solve(np.eye(128) - 0.5e-2 * dmat, rhs)
         assert np.abs(x - ref).max() <= 1e-10
 
@@ -502,7 +499,7 @@ class TestReduceToBanded:
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 64])
     @pytest.mark.parametrize("alpha,beta,s", [(2.0, 2.0, 0.1), (4.0, 2.0, -0.1), (12.0, 1.0, 0.3)])
     def test_differentiation_operator(self, n, alpha, beta, s):
-        g = scale(skew_expand(jacobidiff.generators(JacobiParams(alpha, beta), n)), s)
+        g = scale(jacobidiff.generators(JacobiParams(alpha, beta), n), s)
         self.check(g, 1.0, np.random.default_rng(n).standard_normal(n))
 
 
@@ -527,7 +524,7 @@ class TestShiftedSolver:
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 64, 1024, 16384])
     @pytest.mark.parametrize("alpha,beta", PAIRS)
     def test_bit_identical_to_unfactored_solve(self, alpha, beta, n):
-        g = skew_expand(jacobidiff.generators(JacobiParams(alpha, beta), n))
+        g = jacobidiff.generators(JacobiParams(alpha, beta), n)
         rhs = np.random.default_rng(n).standard_normal(n)
         for s in self.SCALES:
             gs = scale(g, s)
@@ -541,7 +538,7 @@ class TestShiftedSolver:
     def test_scale_minus_one_takes_the_pivoting_solve(self, alpha, beta):
         # So that test_bit_identical_to_unfactored_solve covers gbtrs too.
         for n in (2, 64, 16384):
-            g = skew_expand(jacobidiff.generators(JacobiParams(alpha, beta), n))
+            g = jacobidiff.generators(JacobiParams(alpha, beta), n)
             assert ShiftedSolver(scale(g, -1.0), 1.0).band.piv is not None
 
     @pytest.mark.parametrize("alpha,beta", [(1.0, 1.0), (2.3, 4.1), (6.0, 1.5), (1.2, 5.7)])
@@ -551,7 +548,7 @@ class TestShiftedSolver:
         # sweeps take U with q superdiagonals, which relies on gbtrf leaving
         # the p fill-in rows exactly 0 when it interchanges no rows.
         n, r = 16384, 2
-        g = skew_expand(jacobidiff.generators(JacobiParams(alpha, beta), n))
+        g = jacobidiff.generators(JacobiParams(alpha, beta), n)
         for s in (np.sqrt(1e-3), -np.sqrt(1e-3), -5e-4):
             ab = np.zeros((3 * r + 1, n))
             ab[r:] = reduce_to_banded(scale(g, s), 1.0)[0]
@@ -562,14 +559,14 @@ class TestShiftedSolver:
 
     @pytest.mark.parametrize("alpha,beta,n", ACCEPTANCE)
     def test_residual_on_acceptance_grid(self, alpha, beta, n):
-        g = skew_expand(jacobidiff.generators(JacobiParams(alpha, beta), n))
+        g = jacobidiff.generators(JacobiParams(alpha, beta), n)
         rhs = np.random.default_rng(n).standard_normal(n)
         for s in self.SCALES:
             solver = ShiftedSolver(scale(g, s), 1.0)
             assert solver.residual(solver.solve(rhs), rhs) <= 1e-13
 
     def test_residual_detects_a_wrong_solution(self):
-        g = skew_expand(jacobidiff.generators(JacobiParams(2.0, 2.0), 64))
+        g = jacobidiff.generators(JacobiParams(2.0, 2.0), 64)
         rhs = np.random.default_rng(3).standard_normal(64)
         solver = ShiftedSolver(scale(g, 0.1), 1.0)
         x = solver.solve(rhs)
@@ -585,7 +582,7 @@ class TestShiftedSolver:
         assert ShiftedSolver(SemiSepGenerators.diagonal([2.0, 3.0]), 1.0).growth == 0.0
 
     def test_growth_of_differentiation_operator_is_contracting(self):
-        g = skew_expand(jacobidiff.generators(JacobiParams(4.0, 2.0), 1024))
+        g = jacobidiff.generators(JacobiParams(4.0, 2.0), 1024)
         assert ShiftedSolver(scale(g, -0.5), 1.0).growth <= 1.0
 
     @pytest.mark.parametrize("rank", [1, 2, 3])
@@ -629,7 +626,7 @@ class TestAnnihilationCoeffs:
         # At most 2.1 ulp of each system's largest coefficient was measured
         # at N = 64 and 1024.
         for n in (64, 1024):
-            g = skew_expand(jacobidiff.generators(JacobiParams(alpha, beta), n))
+            g = jacobidiff.generators(JacobiParams(alpha, beta), n)
             for gen in (g.b, g.d):
                 got = semisep._annihilation_coeffs(gen)
                 ref = self.batched(np.asarray(gen, dtype=float), n, 2)
