@@ -29,10 +29,10 @@ from scipy.special import gammaln
 from .specfun import (
     DomainError,
     JacobiParams,
+    _kappa_squares,
     gauss_jacobi_rule,
     hyper_pfq_at,
     jacobi_table,
-    jacobi_weight_mass,
     log_gamma,
 )
 from .semisep import ShiftedSolver, SkewGeneratorPair, scale
@@ -65,20 +65,9 @@ class InternalConsistencyError(ArithmeticError):
 
 def kappa_vector(params: JacobiParams, nmax: int) -> np.ndarray:
     """Normalization constants kappa_0 .. kappa_nmax making kappa_n P_n^(a,b)
-    orthonormal.
-
-    kappa_0^2 is the reciprocal weight mass, and each later square is the
-    one before times the exact ratio
-    kappa_{n+1}^2 / kappa_n^2 = (2n+s+3)(n+s+1)(n+1) / ((2n+s+1)(n+a+1)(n+b+1)),
-    s = a + b.  The running product is kept in extended precision and
-    rounded to double once, after the square root.
-    """
-    a, b = params.alpha, params.beta
-    s = np.longdouble(a) + b  # a double sum would shift every ratio
-    n = np.arange(nmax, dtype=np.longdouble)
-    ratios = (2 * n + s + 3) * (n + s + 1) * (n + 1) / ((2 * n + s + 1) * (n + a + 1) * (n + b + 1))
-    squares = np.cumprod(np.concatenate([[1 / np.longdouble(jacobi_weight_mass(a, b))], ratios]))
-    return np.sqrt(squares).astype(float)
+    orthonormal: the square root of the longdouble kappa^2 product that
+    jacobi_table scales its rows by, rounded to double once."""
+    return np.sqrt(_kappa_squares(params.alpha, params.beta, nmax)).astype(float)
 
 
 def kappa(params: JacobiParams, n: int) -> float:

@@ -7,6 +7,7 @@ immutable after construction.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -105,74 +106,94 @@ def pochhammer(z: float, m: int) -> float:
     return out
 
 
-def _recurrence_coeffs(alpha: float, beta: float, nmax: int, dtype):
-    """c1_k, c0_k, c2_k of P_{k+1} = (c1_k x + c0_k) P_k - c2_k P_{k-1},
-    for k = 0 .. nmax-1, formed in ``dtype``.
+def _kappa_squares(alpha: float, beta: float, nmax: int) -> np.ndarray:
+    """kappa_0^2 .. kappa_nmax^2 (kappa_n P_n orthonormal) in longdouble: 1 / mass
+    times, in order, the exact ratios (2n+s+3)(n+s+1)(n+1) / ((2n+s+1)(n+a+1)(n+b+1)),
+    s = a + b; at n = 0 it is (s+3) / ((a+1)(b+1)), without the 0/0 at s = -1."""
+    al, be = np.longdouble(alpha), np.longdouble(beta)
+    s = al + be  # a double sum would shift every ratio
+    n = np.arange(1, nmax, dtype=np.longdouble)
+    ratios = (2 * n + s + 3) * (n + s + 1) * (n + 1) / ((2 * n + s + 1) * (n + al + 1) * (n + be + 1))
+    first = [1 / np.longdouble(jacobi_weight_mass(alpha, beta)), (s + 3) / ((al + 1) * (be + 1))]
+    return np.cumprod(np.concatenate([first[: nmax + 1], ratios]))
 
-    k = 0 is the explicit P_1 = ((a + b + 2) x + a - b) / 2 (c2_0 = 0):
-    the generic formula has a removable 0/0 there when a + b is 0 or -1.
-    Returned as lists of scalars, Python floats for double, so that each
-    step of the kernel takes them without a conversion.
+
+@functools.lru_cache(maxsize=8)
+def _rescaled_coeffs(alpha: float, beta: float, nmax: int):
+    """g_k, a_k (k < nmax), t_0 .. t_nmax and p_0 = 1 / sqrt(mass), in
+    longdouble, read-only, kept for the last 8 (alpha, beta, nmax).  With
+    p_k = t_k q_k, t_0 = t_1 = 1 and t_{k+1} = t_{k-1} b_{k-1} / b_k, the
+    orthonormal b_k p_{k+1} = (x - a_k) p_k - b_{k-1} p_{k-1} (a_k, b_k of
+    _jacobi_matrix) is q_{k+1} = g_k (x - a_k) q_k - q_{k-1} from q_0 = p_0,
+    g_k = t_k / (b_k t_{k+1}).  For k <= 4096, t_k stayed in [0.05, 1.13]
+    at alpha, beta in [0.001, 1000], and in [0.019, 2.83] down to -0.9.
     """
-    al, be = dtype.type(alpha), dtype.type(beta)
-    s = al + be
-    k = np.arange(nmax, dtype=dtype)
-    t = 2 * k + s  # 2k + a + b
-    a0 = 2 * (k + 1) * (k + s + 1) * t
-    a0[:1] = 1  # k = 0 is set below
-    c1 = (t + 1) * t * (t + 2) / a0
-    c0 = (t + 1) * ((al - be) * s) / a0
-    c2 = 2 * (k + al) * (k + be) * (t + 2) / a0
-    c1[:1], c0[:1], c2[:1] = (s + 2) / 2, (al - be) / 2, 0
-    if dtype == np.float64:
-        return c1.tolist(), c0.tolist(), c2.tolist()
-    return list(c1), list(c0), list(c2)
+    diag, off = _jacobi_matrix(alpha, beta, nmax + 1)
+    t = np.ones(nmax + 1, dtype=np.longdouble)
+    rho = off[:-1] / off[1:]  # rho[k-1] = b_{k-1} / b_k
+    t[2::2], t[3::2] = np.cumprod(rho[0::2]), np.cumprod(rho[1::2])
+    g = t[:-1] / (off * t[1:])
+    a = diag[:-1]
+    for v in (g, a, t):
+        v.flags.writeable = False
+    return g, a, t, 1 / np.sqrt(np.longdouble(jacobi_weight_mass(alpha, beta)))
 
 
-# The kernel fills the rows of P_n in blocks of at most this many values
-# (at least one row), so its buffer stays small for any degree and any
-# number of points.
+# The kernel fills blocks of at most _BLOCK_VALUES values (one row at least).
+# Below _CHUNK_VALUES / 16 points it forms the affine rows of 16 degrees or
+# more at once; at more points one at a time, where the row stays in cache.
 _BLOCK_VALUES = 2**16
+_CHUNK_VALUES = 2**14
 
 
 def _block_rows(nmax: int, npts: int) -> int:
-    """Rows per block of _jacobi_blocks for P_0 .. P_nmax at npts points."""
+    """Rows per block of _orthonormal_blocks for q_0 .. q_nmax at npts points."""
     return min(nmax + 1, max(1, _BLOCK_VALUES // max(npts, 1)))
 
 
-def _jacobi_blocks(alpha: float, beta: float, nmax: int, x: np.ndarray, rows=None):
-    """P_0 .. P_nmax at the 1-d points x, in blocks of ``rows`` degrees
-    (by default _block_rows: about 2^16 values).  The one copy of the
-    three-term recurrence; the arguments are not checked here.
+def _chunk_rows(nmax: int, npts: int) -> int:
+    """Affine rows per chunk of _orthonormal_blocks; 1 is per degree."""
+    rows = _CHUNK_VALUES // max(npts, 1)
+    return max(1, min(rows, nmax)) if rows >= 16 else 1
 
-    Yields (k0, block) with block[i] = P_{k0+i}(x) for k0 = 0, rows,
-    2 rows ..., the last block possibly shorter.  The recurrence runs in
-    the dtype of x, with its coefficients formed once in that dtype, in
-    five in-place ufunc calls per degree.  Every block is a view of one
-    buffer, which the next block overwrites; the buffer keeps the last
-    two rows of a block in front of the next one.  With rows = nmax + 1
-    the single block is the whole table and the buffer holds nothing else.
+
+def _orthonormal_blocks(g, a, x: np.ndarray, q0, rows=None):
+    """q_0 = q0 .. q_n (see _rescaled_coeffs) at the 1-d points x, n = len(g),
+    in blocks of ``rows`` degrees (default _block_rows): yields (k0, block),
+    block[i] = q_{k0+i}(x), k0 = 0, rows, 2 rows ...  The one copy of the
+    three-term recurrence; arguments are not checked.  It runs in the dtype
+    of x, into which g, a and q0 are rounded once, in two ufunc calls per
+    step: q_{k+1} = r_k q_k - q_{k-1} on the affine row r_k = (x - a_k) g_k.
+    With _chunk_rows = 1 it forms each r_k in two calls with scalars, else
+    that many rows in two broadcast calls, to the same bits.  Every
+    block is a view of one buffer, which keeps a block's last two rows in
+    front of the next: a caller may scale columns of those by a power of
+    two before the next block, and the recurrence follows.
     """
-    if rows is None:
-        rows = _block_rows(nmax, x.size)
-    c1, c0, c2 = _recurrence_coeffs(alpha, beta, nmax, x.dtype)
-    several = rows <= nmax
-    buf = np.empty((rows + 2 * several, x.size), dtype=x.dtype)
-    tmp = np.empty_like(x)
-    lo = k0 = 0  # buf[lo] holds P_k0; buf[lo-2], buf[lo-1] the two before
+    nmax, npts = len(g), x.size
+    rows = _block_rows(nmax, npts) if rows is None else rows
+    chunk = _chunk_rows(nmax, npts)
+    g, a = g.astype(x.dtype), a.astype(x.dtype)
+    buf = np.empty((rows + 2 * (rows <= nmax), npts), dtype=x.dtype)
+    aff = np.empty((chunk, npts), dtype=x.dtype)
+    q, r = list(buf), list(aff)
+    mul, sub = np.multiply, np.subtract  # each called with a positional out
+    q[0].fill(q0)
+    # buf[lo] holds q_k0, buf[lo-2] and buf[lo-1] the two before; aff r_c0 .. r_{c1-1}
+    lo = k0 = c0 = c1 = 0
     while True:
         hi = lo + min(rows, nmax + 1 - k0)
-        for i in range(lo, hi):
-            p, k = buf[i], k0 + i - lo - 1  # p = P_{k+1}
-            if k < 0:
-                p.fill(1)
-                continue
-            np.multiply(x, c1[k], out=p)
-            p += c0[k]
-            p *= buf[i - 1]
+        for i in range(lo + (k0 == 0), hi):
+            k = i - lo + k0 - 1  # q[i] = q_{k+1}
+            if k >= c1:
+                c0, c1 = k, min(k + chunk, nmax)
+                if chunk == 1:
+                    mul(sub(x, a[k], r[0]), g[k], r[0])
+                else:
+                    mul(sub(x, a[k:c1, None], aff[: c1 - k]), g[k:c1, None], aff[: c1 - k])
+            mul(r[k - c0], q[i - 1], q[i])
             if k:
-                np.multiply(buf[i - 2], c2[k], out=tmp)
-                p -= tmp
+                sub(q[i], q[i - 2], q[i])
         yield k0, buf[lo:hi]
         k0 += hi - lo
         if k0 > nmax:
@@ -182,13 +203,19 @@ def _jacobi_blocks(alpha: float, beta: float, nmax: int, x: np.ndarray, rows=Non
         lo = 2
 
 
+def _orthonormal_rows(alpha: float, beta: float, nmax: int, x: np.ndarray, rows=None):
+    """t_n in the dtype of x and the kernel's blocks of q_n from q_0 = p_0: t_n q_n = p_n."""
+    g, a, t, p0 = _rescaled_coeffs(alpha, beta, nmax)
+    return t.astype(x.dtype), _orthonormal_blocks(g, a, x, p0, rows)
+
+
 def jacobi_table(alpha: float, beta: float, nmax: int, x: np.ndarray) -> np.ndarray:
     """All P_0 .. P_nmax at the points x, as an (nmax+1, len(x)) array.
 
-    One block of the recurrence kernel, in the precision of x
-    (longdouble stays longdouble, anything else becomes double), with its
-    coefficients formed in that precision too.  Accepts alpha, beta > -1:
-    the quadrature oracle needs the shifted weights.
+    One block of the kernel from q_0 = 1 in the precision of x (longdouble
+    stays longdouble, anything else becomes double), row n times t_n kappa_0
+    / kappa_n, formed in longdouble from the kappa^2 product kappa_vector
+    rounds (1 at n = 0).  Accepts alpha, beta > -1: the oracle's weights.
     """
     if alpha <= -1 or beta <= -1:
         raise DomainError("Jacobi polynomials require alpha, beta > -1")
@@ -196,7 +223,10 @@ def jacobi_table(alpha: float, beta: float, nmax: int, x: np.ndarray) -> np.ndar
         raise DomainError(f"degree must be >= 0, got {nmax}")
     x = np.asarray(x)
     x = (x if x.dtype == np.longdouble else np.asarray(x, dtype=float)).reshape(-1)
-    _, table = next(_jacobi_blocks(alpha, beta, nmax, x, nmax + 1))
+    g, a, t, _ = _rescaled_coeffs(alpha, beta, nmax)
+    squares = _kappa_squares(alpha, beta, nmax)
+    _, table = next(_orthonormal_blocks(g, a, x, 1, nmax + 1))
+    table *= (t * np.sqrt(squares[0] / squares)).astype(x.dtype)[:, None]
     return table
 
 
@@ -301,69 +331,52 @@ def _jacobi_matrix(alpha: float, beta: float, q: int):
     return diag, off
 
 
-# Every this many steps a sweep rescales the nodes whose Christoffel sum
-# has grown past 2^(maxexp / 2) of the sweep's dtype (see below).
+# A sweep runs the kernel in blocks of this many rows.
 _RESCALE_EVERY = 16
 
 
-def _christoffel_sweep(diag, off, p0, x):
-    """One pass of the orthonormal recurrence over the points x.
+def _christoffel_sweep(g, a, t, p0, x):
+    """One pass of the kernel over the points x for the Q = len(g) node rule:
+    the weights 1 / sum_{k<Q} p_k(x)^2, one product per block, and the Newton
+    correction p_Q / p_Q' = b_{Q-1} p_Q p_{Q-1} / sum (Christoffel-Darboux, to
+    second order at a zero of p_Q), b_{Q-1} t_Q t_{Q-1} = t_{Q-1}^2 / g_{Q-1}.
 
-    Keeps only two polynomials at a time.  Returns the Gauss weights
-    1 / sum_{k<q} p_k(x)^2 and the Newton correction p_q / p_q' for the
-    zeros of p_q: by Christoffel-Darboux the sum equals b_{q-1} p_q'
-    p_{q-1} at a zero, so p_q / p_q' = (b_{q-1} p_q) p_{q-1} / sum to
-    second order.
-
-    Near the ends of (-1, 1) p_k grows like the inverse square root of
-    the weight, past what a double holds at large alpha, beta and q.  So
-    every _RESCALE_EVERY steps, at each node whose sum (which bounds p_k^2
-    and p_{k-1}^2, and only grows) exceeds 2^(maxexp / 2) of the dtype,
-    p_k and p_{k-1} are divided by a power of two 2^e near sqrt(sum) and
-    the sum by 2^(2e); the node's exponent L accumulates e.  Scaling by a
-    power of two is exact, so the results are those of an unbounded
-    exponent range: the Newton correction, a ratio, does not see the
-    scale, and the weight is 2^(-2L) / sum.  The threshold leaves p_k a
-    factor 2^(maxexp / 4) of headroom before p_k^2 overflows, 2^16 per
-    step in double.  In longdouble no rule on the tested grids gets near
-    the threshold.
+    Near the ends of (-1, 1) p_k grows like the inverse square root of the
+    weight, past the double range at large alpha, beta and Q.  So between
+    blocks, at each node whose sum (which bounds p_k^2 and only grows)
+    exceeds 2^(maxexp / 2), the block's last two rows are divided by 2^e
+    near sqrt(sum), the sum by 2^(2e), and the node's exponent L gains e.
+    That is exact: the correction, a ratio, does not see it, and the weight
+    is 2^(-2L) / sum.  q_k^2 = p_k^2 / t_k^2 keeps 2^(maxexp / 4 - 12) of
+    headroom, 2^15 per step in double.
     """
-    q = diag.size
-    b = np.concatenate(([0], off))  # b[k] = b_{k-1}, with b_{-1} = 0
+    q = len(g)
     limit = np.ldexp(x.dtype.type(1), np.finfo(x.dtype).maxexp // 2)
     scale = np.zeros(x.shape, dtype=int)  # L: the sums are 2^(-2L) times the true ones
-    p_prev = np.zeros_like(x)
-    p = np.full_like(x, p0)
-    ssum = p * p
-    nxt = np.empty_like(x)
-    for k in range(q - 1):
-        np.subtract(x, diag[k], out=nxt)
-        nxt *= p
-        p_prev *= b[k]
-        nxt -= p_prev
-        nxt /= b[k + 1]
-        p_prev, p, nxt = p, nxt, p_prev
-        ssum += p * p
-        if k % _RESCALE_EVERY == _RESCALE_EVERY - 1:
-            big = np.flatnonzero(ssum > limit)
-            if big.size:
-                e = np.frexp(ssum[big])[1] // 2
-                p[big] = np.ldexp(p[big], -e)
-                p_prev[big] = np.ldexp(p_prev[big], -e)
-                ssum[big] = np.ldexp(ssum[big], -2 * e)
-                scale[big] += e
-    bq_pq = (x - diag[q - 1]) * p - b[q - 1] * p_prev
-    return np.ldexp(1 / ssum, -2 * scale), bq_pq * p / ssum
+    ssum = np.zeros_like(x)
+    t2 = (t[:q] ** 2).astype(x.dtype)
+    for k0, block in _orthonormal_blocks(g, a, x, p0, _RESCALE_EVERY):
+        k1 = k0 + len(block)
+        ssum += t2[k0:k1] @ np.square(block[: q - k0])  # the rows below q_Q
+        big = np.flatnonzero(ssum > limit) if k1 <= q else []
+        if len(big):
+            e = np.frexp(ssum[big])[1] // 2
+            block[-2:, big] = np.ldexp(block[-2:, big], -e)
+            ssum[big] = np.ldexp(ssum[big], -2 * e)
+            scale[big] += e
+        if k0 < q <= k1:
+            q_last = block[q - 1 - k0].copy()  # q_{Q-1}, past any rescale
+    newton = x.dtype.type(t[q - 1] ** 2 / g[q - 1]) * block[-1] * q_last
+    return np.ldexp(1 / ssum, -2 * scale), newton / ssum
 
 
 # A sweep accepts its nodes once every Newton correction is at most
-# _NEWTON_ULPS ulp of its dtype.  On a grid of alpha in {-0.9 .. 300},
-# beta in {-0.9 .. 300} and Q from 1 to 2048 (500 rules), the longdouble
-# corrections after one Newton step from the eigenvalue start were
-# 2.8e-20 in the median and at most 8.4e-19 (at alpha = -0.9, beta = 1,
-# Q = 2048); the bound, 6.9e-18, is 8 times that.  In double, on 350 rules
-# of the same range, they were 5.7e-17 in the median and at most 1.1e-16,
-# against a bound of 1.4e-14; every rule took 2 sweeps in either dtype.
+# _NEWTON_ULPS ulp of its dtype.  On 500 rules (alpha, beta in {-0.9 .. 300},
+# Q from 1 to 2048) the longdouble corrections after one Newton step from the
+# eigenvalue start were 2.8e-20 in the median and at most 8.3e-19, at (-0.9,
+# 1, 2048), 8 times below the bound of 6.9e-18.  On 350 double rules of the
+# same range they were 5.8e-17 in the median and at most 1.3e-16, at (0.001,
+# 1, 3), against 1.4e-14.  Every rule took 2 sweeps in either dtype.
 _NEWTON_ULPS = 64
 _MAX_SWEEPS = 3
 
@@ -374,24 +387,21 @@ def gauss_jacobi_rule(
     """n-point Gauss rule for the Jacobi weight, in O(n) memory.
 
     The eigenvalues of the Jacobi matrix (Golub-Welsch, eigenvalues only)
-    are the starting nodes.  Each sweep then runs the orthonormal
-    recurrence over all nodes in ``dtype`` and gives both the Newton
-    correction of every node and its weight 1 / sum_k p_k^2.  The first
-    sweep always takes its Newton step (the start is only accurate to
-    double); a later sweep whose corrections are all at most 64 ulp of
-    ``dtype`` returns the nodes it ran at, with the weights from that same
-    sweep.  At most three sweeps run, else ConvergenceError.  Exact for
-    polynomials of degree <= 2 n_nodes - 1.
+    are the starting nodes.  Each sweep runs the recurrence kernel over
+    all nodes in ``dtype`` and gives every node's Newton correction and
+    weight 1 / sum_k p_k^2.  The first sweep always takes its Newton step
+    (the start is only accurate to double); a later sweep whose
+    corrections are all at most 64 ulp of ``dtype`` returns the nodes it
+    ran at, with its weights.  At most three sweeps run, else
+    ConvergenceError.  Exact for polynomials of degree <= 2 n_nodes - 1.
 
     ``dtype`` is ``np.longdouble`` (the default; the quadrature oracle
     needs it) or ``np.float64`` (what ``spectral.expand`` uses, about 3
-    times faster); anything else raises DomainError.  The recurrence
-    coefficients are formed in longdouble either way.  The sweep rescales
-    the recurrence by powers of two, so it does not overflow in double.
-    A double weight whose true value is below the double underflow
-    threshold (about 1e-308) comes out subnormal or 0: at
-    (0.001, 150, 2048), for example, the weights of the nodes nearest -1
-    are 0.
+    times faster); anything else raises DomainError.  The coefficients are
+    formed in longdouble either way, and the sweep does not overflow in
+    double.  A double weight below the double underflow threshold (about
+    1e-308) comes out subnormal or 0: at (0.001, 150, 2048), for example,
+    the weights of the nodes nearest -1 are 0.
     """
     if dtype not in (np.longdouble, np.float64):
         raise DomainError(
@@ -407,12 +417,11 @@ def gauss_jacobi_rule(
         start = eigh_tridiagonal(diag.astype(float), off.astype(float), eigvals_only=True)
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise ConvergenceError("tridiagonal eigensolver failed") from exc
-    diag, off = diag.astype(dtype, copy=False), off.astype(dtype, copy=False)
     x = np.asarray(start, dtype=dtype)
-    p0 = dtype.type(1 / np.sqrt(np.longdouble(jacobi_weight_mass(alpha, beta))))
+    coeffs = _rescaled_coeffs(alpha, beta, n_nodes)
     tol = _NEWTON_ULPS * np.finfo(dtype).eps
     for sweep in range(_MAX_SWEEPS):
-        weights, delta = _christoffel_sweep(diag, off, p0, x)
+        weights, delta = _christoffel_sweep(*coeffs, x)
         if sweep and np.max(np.abs(delta)) <= tol:
             break
         x = x - delta

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import semisep
-from .jacobidiff import DiffMatrixBuild, InternalConsistencyError, kappa_vector
-from .specfun import DomainError, JacobiParams, _jacobi_blocks, gauss_jacobi_rule, jacobi_table
+from .jacobidiff import DiffMatrixBuild, InternalConsistencyError
+from .specfun import DomainError, JacobiParams, _orthonormal_rows, gauss_jacobi_rule
 
 __all__ = [
     "CoeffVector",
@@ -78,9 +78,9 @@ def wfun_table(params: JacobiParams, nmax: int, x) -> np.ndarray:
     Points must lie in [-1, 1]; the endpoint value is 0.
     """
     x = _domain_points(x)
-    table = jacobi_table(params.alpha, params.beta, nmax, x)
-    kvec = kappa_vector(params, nmax)
-    return kvec[:, None] * table * _sqrt_weight(params, x)[None, :]
+    t, blocks = _orthonormal_rows(params.alpha, params.beta, nmax, x, nmax + 1)
+    _, table = next(blocks)
+    return t[:, None] * table * _sqrt_weight(params, x)[None, :]
 
 
 def wfun_eval(params: JacobiParams, n: int, x):
@@ -130,9 +130,9 @@ def expand(params: JacobiParams, f, n_size: int) -> CoeffVector:
     f must act elementwise: f(x)[i] == f(x[i]).  It is called once on the
     whole (read-only, double) node array, and the result is used if it
     has shape (Q,); if that call raises or returns another shape, f is
-    called once per node instead.  The Jacobi polynomials run over the
-    nodes in double, in blocks of about 2^16 values, and each block is
-    summed with one matrix-vector product, so memory is O(N + Q + 2^16).
+    called once per node instead.  The orthonormal recurrence runs over the
+    nodes in double, in blocks of about 2^16 values, each block of rows q_n
+    summed in one matrix-vector product and scaled by t_n: O(N + Q + 2^16).
     """
     if n_size < 1:
         raise DomainError(f"size must be >= 1, got {n_size}")
@@ -147,10 +147,11 @@ def expand(params: JacobiParams, f, n_size: int) -> CoeffVector:
     live = rule.weights > 0
     nodes = rule.nodes[live]
     weighted = rule.weights[live] * (samples[live] / _sqrt_weight(params, nodes))
+    t, blocks = _orthonormal_rows(params.alpha, params.beta, n_size - 1, nodes)
     sums = np.empty(n_size)
-    for k0, block in _jacobi_blocks(params.alpha, params.beta, n_size - 1, nodes):
+    for k0, block in blocks:
         sums[k0 : k0 + len(block)] = block @ weighted
-    coeffs = kappa_vector(params, n_size - 1) * sums
+    coeffs = t * sums
     return CoeffVector(params=params, coeffs=coeffs)
 
 
@@ -158,18 +159,19 @@ def reconstruct(u: CoeffVector, x) -> np.ndarray:
     """Pointwise values sum_n u_n phi_n(x) of the represented truncation.
 
     Points must lie in [-1, 1]; the value at x = +-1 is exactly 0.  The
-    Jacobi polynomials run over the points in double, in blocks of about
-    2^16 values, and each block adds one matrix-vector product, so memory
-    is O(N + len(x) + 2^16).  Where P_n overflows double (large beta and N
-    near x = -1, for example) and the sum is not finite at an interior
-    point, FloatingPointError names the first such point.
+    orthonormal recurrence runs over the points in double, in blocks of
+    about 2^16 values, each block of rows q_n adding one matrix-vector
+    product with u_n t_n: memory O(N + len(x) + 2^16).  Where the p_n
+    overflow double (beta = 1000 near x = -1) and the sum is not finite at
+    an interior point, FloatingPointError names the first such point.
     """
     pts = _domain_points(x)
     a, b = u.params.alpha, u.params.beta
-    scaled = u.coeffs * kappa_vector(u.params, u.n - 1)
+    t, blocks = _orthonormal_rows(a, b, u.n - 1, pts)
+    scaled = u.coeffs * t
     vals = np.zeros_like(pts)
     with np.errstate(over="ignore", invalid="ignore"):
-        for k0, block in _jacobi_blocks(a, b, u.n - 1, pts):
+        for k0, block in blocks:
             vals += scaled[k0 : k0 + len(block)] @ block
         vals *= _sqrt_weight(u.params, pts)
     vals[np.abs(pts) == 1.0] = 0.0

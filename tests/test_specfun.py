@@ -128,29 +128,82 @@ class TestRecurrenceKernel:
         assert specfun._block_rows(10, 1001) == 11
         assert specfun._block_rows(0, 0) == 1
 
+    @staticmethod
+    def blocks(alpha, beta, nmax, x, rows=None):
+        """The kernel's blocks from q_0 = p_0, copied out of its buffer."""
+        g, a, _, p0 = specfun._rescaled_coeffs(alpha, beta, nmax)
+        return [(k0, block.copy()) for k0, block in specfun._orthonormal_blocks(g, a, x, p0, rows)]
+
     @pytest.mark.parametrize("nmax", [0, 1, 2, 64, 65, 200])
     @pytest.mark.parametrize("dtype", [float, np.longdouble])
     def test_blocks_are_the_table(self, nmax, dtype):
         # nmax = 64 is exactly one block, 65 one block plus one row and
         # 200 four blocks; blocks of every size equal the one-block table.
         x = self.X.astype(dtype)
-        table = jacobi_table(2.3, 4.1, nmax, x)
+        [(_, table)] = self.blocks(2.3, 4.1, nmax, x, nmax + 1)
         assert table.shape == (nmax + 1, x.size) and table.dtype == dtype
         for size in (1, 2, 3, None):
-            starts, blocks = [], []
-            for k0, block in specfun._jacobi_blocks(2.3, 4.1, nmax, x, size):
-                starts.append(k0)
-                blocks.append(block.copy())
+            starts, blocks = zip(*self.blocks(2.3, 4.1, nmax, x, size))
             assert np.array_equal(np.vstack(blocks), table)
-            assert starts == list(range(0, nmax + 1, size or 65))
+            assert list(starts) == list(range(0, nmax + 1, size or 65))
 
-    @pytest.mark.parametrize("dtype,kind", [(np.float64, float), (np.longdouble, np.longdouble)])
-    def test_coefficients_are_formed_in_the_points_dtype(self, dtype, kind):
-        c1, c0, c2 = specfun._recurrence_coeffs(2.3, 4.1, 5, np.dtype(dtype))
-        assert len(c1) == len(c0) == len(c2) == 5
-        assert all(type(c) is kind for c in c1 + c0 + c2)
-        al, be = dtype(2.3), dtype(4.1)
-        assert (c1[0], c0[0], c2[0]) == ((al + be + 2) / 2, (al - be) / 2, 0)
+    @pytest.mark.parametrize("npts", [1, 7, 128, 1001])
+    @pytest.mark.parametrize("dtype", [float, np.longdouble])
+    def test_per_degree_and_chunked_affine_rows_are_the_same_bits(self, monkeypatch, npts, dtype):
+        # Affine rows formed one degree at a time (scalar coefficients) or
+        # in chunks of 16, 17, 200 degrees and the default (broadcasts).
+        x = np.linspace(-0.999, 0.999, npts).astype(dtype)
+        monkeypatch.setattr(specfun, "_CHUNK_VALUES", 0)
+        assert specfun._chunk_rows(200, npts) == 1
+        per_degree = self.blocks(0.5, 12.0, 200, x)
+        for values in (16 * npts, 17 * npts, 200 * npts, 2**14):
+            monkeypatch.setattr(specfun, "_CHUNK_VALUES", values)
+            chunked = self.blocks(0.5, 12.0, 200, x)
+            assert [k0 for k0, _ in chunked] == [k0 for k0, _ in per_degree]
+            assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(chunked, per_degree))
+
+    def test_chunks_stay_within_the_chunk_values(self):
+        assert specfun._CHUNK_VALUES <= specfun._BLOCK_VALUES
+        assert specfun._chunk_rows(1023, 128) == 128
+        assert specfun._chunk_rows(1023, 1001) == 16
+        assert specfun._chunk_rows(1023, 1025) == 1
+        assert specfun._chunk_rows(10, 128) == 10
+        assert specfun._chunk_rows(0, 128) == 1
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+    def test_coefficients_are_formed_in_longdouble_and_rounded_once(self, dtype):
+        g, a, t, p0 = specfun._rescaled_coeffs(2.3, 4.1, 5)
+        assert (len(g), len(a), len(t)) == (5, 5, 6)
+        assert all(v.dtype == np.longdouble for v in (g, a, t, np.asarray(p0)))
+        diag, off = specfun._jacobi_matrix(2.3, 4.1, 6)
+        assert t[0] == t[1] == 1 and np.array_equal(t[2:], t[:-2] * off[:-1] / off[1:])
+        assert np.array_equal(g, t[:-1] / (off * t[1:])) and np.array_equal(a, diag[:-1])
+        # The rows the kernel gives are those of the rounded coefficients.
+        x = self.X.astype(dtype)
+        gd, ad = g.astype(dtype), a.astype(dtype)
+        [(_, table)] = self.blocks(2.3, 4.1, 5, x, 6)
+        assert table.dtype == dtype and np.all(table[0] == dtype(p0))
+        for k in range(5):
+            prev = table[k - 1] if k else 0
+            assert np.array_equal(table[k + 1], (x - ad[k]) * gd[k] * table[k] - prev)
+
+    @pytest.mark.parametrize("alpha", [-0.9, 0.001, 2.3, 100.0, 1000.0])
+    def test_scales_stay_bounded(self, alpha):
+        # 0.0507 to 1.128 over alpha, beta in {0.001 .. 1000} and k <= 4096;
+        # 0.019 to 2.83 with alpha or beta in {-0.9, -0.5}.
+        for beta in (-0.9, 0.001, 2.3, 100.0, 1000.0):
+            t = specfun._rescaled_coeffs(alpha, beta, 4096)[2]
+            positive = min(alpha, beta) > 0
+            assert (0.05 if positive else 0.019) <= t.min() and t.max() <= (1.13 if positive else 2.83)
+
+    def test_table_rows_are_scaled_by_the_shared_kappa_product(self):
+        x = self.X
+        g, a, t, _ = specfun._rescaled_coeffs(2.3, 4.1, 40)
+        [(_, rows)] = specfun._orthonormal_blocks(g, a, x, 1, 41)
+        squares = specfun._kappa_squares(2.3, 4.1, 40)
+        ref = rows * (t * np.sqrt(squares[0] / squares)).astype(float)[:, None]
+        assert np.array_equal(jacobi_table(2.3, 4.1, 40, x), ref)
+        assert np.array_equal(kappa_vector(JacobiParams(2.3, 4.1), 40), np.sqrt(squares).astype(float))
 
     @pytest.mark.skipif(
         np.finfo(np.longdouble).eps >= np.finfo(float).eps,
@@ -393,6 +446,30 @@ class TestDoubleGaussJacobiRule:
         assert np.all(np.isfinite(double.weights)) and np.all(double.weights >= 0)
         largest = extended.weights.max()
         assert np.abs(double.weights - extended.weights).max() <= 4e-12 * largest
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.3, 5.0, 8.0])
+    def test_small_problems_match_the_extended_rule(self, monkeypatch, alpha):
+        # The Q = 128 rules of N = 64 expansions.  Over the 25 pairs the
+        # nodes were within 7.3e-17 of the longdouble nodes, each weight
+        # within 2.5e-13 relative of its longdouble weight, and the
+        # accepted corrections at most 0.4 ulp, in the second sweep.
+        corrections = []
+        sweep = specfun._christoffel_sweep
+
+        def recorded(*args):
+            weights, delta = sweep(*args)
+            corrections.append(np.abs(delta).max())
+            return weights, delta
+
+        monkeypatch.setattr(specfun, "_christoffel_sweep", recorded)
+        for beta in (0.5, 1.0, 2.3, 5.0, 8.0):
+            corrections.clear()
+            double = gauss_jacobi_rule(alpha, beta, 128, dtype=np.float64)
+            assert len(corrections) == 2
+            assert corrections[-1] <= specfun._NEWTON_ULPS * np.finfo(float).eps
+            extended = gauss_jacobi_rule(alpha, beta, 128)
+            assert np.abs(double.nodes - extended.nodes).max() <= 2.5e-16
+            assert np.abs(double.weights / extended.weights - 1).max() <= 4e-13
 
     @pytest.mark.parametrize("alpha,beta", [(2.0, 2.0), (1.0, 6.0)])
     def test_gram_orthonormality_at_2048(self, alpha, beta):

@@ -138,21 +138,22 @@ class TestExpand:
 
     def test_streamed_sums_equal_the_table_product(self):
         # Blocking the recurrence changes memory, not results: the same
-        # double rows of the double rule, each block of rows times the
-        # weighted samples, as the same blocks of the full N x Q table.
-        # N = 50 is one block; N = 600 is 12 blocks of 54 rows.
+        # double rows q_n of the double rule, each block of rows times the
+        # weighted samples, as the same blocks of the full N x Q table,
+        # scaled by t_n.  N = 50 is one block; N = 600 is 12 blocks of 54
+        # rows.
         f = lambda x: (1.0 - x) ** 2 * (1.0 + x) * np.exp(x)
         for n_size in (50, 600):
             rule = gauss_jacobi_rule(4.0, 2.0, 2 * n_size, dtype=np.float64)
             samples = np.asarray(f(rule.nodes), dtype=float)
             ratio = samples / ((1.0 - rule.nodes) ** 2.0 * (1.0 + rule.nodes) ** 1.0)
             weighted = rule.weights * ratio
-            table = jacobi_table(4.0, 2.0, n_size - 1, rule.nodes)
+            t, blocks = specfun._orthonormal_rows(4.0, 2.0, n_size - 1, rule.nodes, n_size)
+            [(_, table)] = blocks
             rows = specfun._block_rows(n_size - 1, rule.nodes.size)
             sums = np.concatenate([table[k : k + rows] @ weighted for k in range(0, n_size, rows)])
-            ref = kappa_vector(P42, n_size - 1) * sums
-            assert table.dtype == np.float64
-            assert np.array_equal(expand(P42, f, n_size).coeffs, ref)
+            assert table.dtype == t.dtype == np.float64
+            assert np.array_equal(expand(P42, f, n_size).coeffs, t * sums)
 
     @pytest.mark.parametrize(
         "alpha,beta,n_size",
@@ -254,6 +255,37 @@ class TestExpandRuleCache:
         assert spectral._expand_rule.cache_info().currsize == 0
 
 
+class TestOneRecurrence:
+    def test_every_route_runs_the_one_kernel(self, monkeypatch):
+        # specfun holds one copy of the three-term recurrence: the rule
+        # (once per sweep), the table, the basis table, expand (once its
+        # rule is cached) and reconstruct all run _orthonormal_blocks.
+        calls = []
+        kernel = specfun._orthonormal_blocks
+
+        def counted(*args, **kwargs):
+            calls.append(args[2].size)
+            return kernel(*args, **kwargs)
+
+        f = lambda x: (1.0 - x * x) ** 2 * np.exp(x)
+        u = expand(P42, f, 40)
+        monkeypatch.setattr(specfun, "_orthonormal_blocks", counted)
+        x = np.linspace(-1.0, 1.0, 11)
+        routes = [
+            (lambda: gauss_jacobi_rule(2.3, 4.1, 30, dtype=np.float64), [30, 30]),
+            (lambda: gauss_jacobi_rule(2.3, 4.1, 30), [30, 30]),
+            (lambda: jacobi_table(2.3, 4.1, 8, x), [11]),
+            (lambda: wfun_table(P42, 8, x), [11]),
+            (lambda: expand(P42, f, 40), [80]),
+            (lambda: reconstruct(u, x), [11]),
+        ]
+        for route, sizes in routes:
+            calls.clear()
+            route()
+            assert calls == sizes
+        assert np.array_equal(expand(P42, f, 40).coeffs, u.coeffs)
+
+
 class TestReconstruct:
     def test_round_trip_interior_points(self):
         n_size = 10
@@ -302,9 +334,10 @@ class TestReconstruct:
         assert peak <= 2**20
 
     def test_zero_at_the_ends_and_raises_where_the_sum_overflows(self):
-        # At beta = 300, P_n(-1) = +-C(n + 300, n) is about 1e314 at
-        # n = 1100, past the double range, while the square root of the
-        # weight underflows, so the sum is not finite near -1.
+        # At beta = 300 and N = 1200, P_n reaches 3.3e310 at x = -0.99 and
+        # 9.8e322 at -0.999, past the double range, but the orthonormal
+        # functions the sum runs on only 4.9e266 and 1.5e279, so the values
+        # there are those of f.
         params = JacobiParams(2.3, 300.0)
         ha, hb = 2.3 / 2 + 1, 300.0 / 2 + 1
 
@@ -316,8 +349,12 @@ class TestReconstruct:
         vals = reconstruct(u, x)
         assert vals[0] == 0.0 and vals[1] == 0.0
         assert np.abs(vals[2:] - f(x[2:])).max() <= 1e-12
+        x = np.array([-0.999, -0.99])
+        assert np.abs(reconstruct(u, x) - f(x)).max() <= 1e-12
+        # At beta = 1000 the orthonormal functions themselves overflow near -1.
+        u = CoeffVector(params=JacobiParams(2.3, 1000.0), coeffs=np.ones(1200))
         for bad in (-0.999, -0.99):
-            with pytest.raises(FloatingPointError, match=r"\(2\.3, 300\.0, 1200\).*-0\.99"):
+            with pytest.raises(FloatingPointError, match=r"\(2\.3, 1000\.0, 1200\).*-0\.99"):
                 reconstruct(u, [0.0, bad, -0.5])
 
 
