@@ -111,30 +111,48 @@ def cmd_verify(config: RunConfig) -> int:
             ),
         },
     }
+    # Wall times: each route's build with its dense form, and each check
+    # from the end of the step before, so a check also holds the set-up it
+    # shares with the checks after it (D^2 with its first user).
+    timings: dict = {"builds": {}, "checks": {}}
+    mark = time.perf_counter()
+
+    def lap() -> float:
+        nonlocal mark
+        start, mark = mark, time.perf_counter()
+        return mark - start
+
+    def check(name: str, max_error: float, tolerance: float) -> None:
+        _check(report, name, max_error, tolerance)
+        timings["checks"][name] = lap()
+
     rng = np.random.default_rng(config.seed)
     sources = jacobidiff.SOURCES
-    builds = {s: jacobidiff.build(params, n, s) for s in sources}
-    mats = {s: b.dense() for s, b in builds.items()}
+    builds, mats = {}, {}
+    for s in sources:
+        builds[s] = jacobidiff.build(params, n, s)
+        mats[s] = builds[s].dense()
+        timings["builds"][s] = lap()
 
     route_err = max(
         float(np.abs(mats[s1] - mats[s2]).max())
         for i, s1 in enumerate(sources)
         for s2 in sources[i + 1 :]
     )
-    _check(report, "route_agreement", route_err, 1e-11)
+    check("route_agreement", route_err, 1e-11)
 
     skew_exact = max(
         float(np.abs(mats[s] + mats[s].T).max()) for s in ("recurrence", "generators")
     )
-    _check(report, "skew_symmetry_exact", skew_exact, 0.0)
+    check("skew_symmetry_exact", skew_exact, 0.0)
     skew_quad = float(
         np.abs(mats["quadrature_oracle"] + mats["quadrature_oracle"].T).max()
     )
-    _check(report, "skew_symmetry_quadrature", skew_quad, 1e-12)
+    check("skew_symmetry_quadrature", skew_quad, 1e-12)
 
     if params.alpha == params.beta:
         mask = (np.add.outer(np.arange(n), np.arange(n)) % 2) == 0
-        _check(report, "parity", float(np.abs(mats["recurrence"][mask]).max()), 1e-12)
+        check("parity", float(np.abs(mats["recurrence"][mask]).max()), 1e-12)
 
     dmat = mats["generators"]
     dmat2 = dmat @ dmat
@@ -151,15 +169,14 @@ def cmd_verify(config: RunConfig) -> int:
                 sv = np.linalg.svd(sub, compute_uv=False)
                 measured.append(float(sv[2] / sv[0]) if sv[0] > 0 else 0.0)
     if measured:
-        _check(report, "rank2_structure", max(measured), 1e-10)
+        check("rank2_structure", max(measured), 1e-10)
     else:
         report["notes"]["rank2_structure"] = (
             f"left out: no drawn block above the diagonal has both sides >= 3 at n = {n}"
         )
 
     g2 = semisep.product(g, g)
-    _check(
-        report,
+    check(
         "product_rank_additivity",
         float(np.abs(g2.to_dense() - dmat2).max()),
         1e-11 * max(1.0, float(np.abs(dmat2).max())),
@@ -167,16 +184,16 @@ def cmd_verify(config: RunConfig) -> int:
 
     eigs = np.linalg.eigvalsh((dmat2 + dmat2.T) / 2.0)
     # D is skew, so D^2 = -D^T D: its lowest eigenvalue is -||D||_2^2.
-    _check(report, "square_negative_semidefinite", float(eigs.max()), 1e-10 * abs(eigs.min()))
+    check("square_negative_semidefinite", float(eigs.max()), 1e-10 * abs(eigs.min()))
 
-    _check(report, "rank1_product_dense_agreement", _rank1_product_error(n, rng), 1e-12)
+    check("rank1_product_dense_agreement", _rank1_product_error(n, rng), 1e-12)
 
     try:
         sums = jacobidiff.boundedness_sums(params)
         bound_err = 0.0 if all(np.isfinite(sums)) else float("inf")
     except Exception:
         bound_err = float("inf")
-    _check(report, "boundedness_sums_dual_route", bound_err, 1e-8)
+    check("boundedness_sums_dual_route", bound_err, 1e-8)
 
     if config.against is not None:
         try:
@@ -188,8 +205,9 @@ def cmd_verify(config: RunConfig) -> int:
                 against_err = float(np.abs(loaded.to_dense() - dmat).max())
         except Exception:
             against_err = float("inf")
-        _check(report, "against_file_agreement", against_err, 1e-11)
+        check("against_file_agreement", against_err, 1e-11)
 
+    report["timings_s"] = timings
     all_pass = all(c["pass"] for c in report["checks"].values())
     out = config.out or "verify_report.json"
     with open(out, "w") as fh:
@@ -208,7 +226,11 @@ def _rank1_product_error(n: int, rng) -> float:
     The pairs are drawn as ``_random_generators(n, 1, rng)`` draws them,
     first factor then second, and are multiplied in stacks of at most
     PRODUCT_CHECK_ENTRIES dense entries per matrix (at least one pair)
-    through the block-level product and dense expansion.
+    through the block-level product and dense expansion.  The product's
+    extended-precision blocks are rounded to double before their dense
+    form, so every N x N array of the check is double; against the
+    extended-precision dense form that moves the error by about 1e-15,
+    far below the check's tolerance of 1e-12.
     """
     per_chunk = max(1, PRODUCT_CHECK_ENTRIES // (n * n))
     errs = []
@@ -218,7 +240,8 @@ def _rank1_product_error(n: int, rng) -> float:
         draws = rng.standard_normal((k, 2, 5, n))
         A, B = ((f[:, 0:1], f[:, 1:2], f[:, 2], f[:, 3:4], f[:, 4:5]) for f in draws.swapaxes(0, 1))
         dp = semisep.dense_blocks(A) @ semisep.dense_blocks(B)
-        err = np.abs(semisep.dense_blocks(semisep.product_blocks(A, B)) - dp).max(axis=(-2, -1))
+        prod = tuple(v.astype(float) for v in semisep.product_blocks(A, B))
+        err = np.abs(semisep.dense_blocks(prod) - dp).max(axis=(-2, -1))
         errs.append(err / np.maximum(np.abs(dp).max(axis=(-2, -1)), 1e-30))
     return float(np.concatenate(errs).max())
 

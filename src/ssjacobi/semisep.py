@@ -228,12 +228,16 @@ def dense_blocks(blocks: tuple) -> np.ndarray:
 
     The blocks may carry the same leading axes, (..., r, n) and (..., n)
     for c; the result is then the stack (..., n, n) of their dense forms.
+    One select on the strict upper triangle picks each entry from its
+    product, which is triu(a^T b, 1) + tril(d^T e, -1) up to the sign of
+    a zero.
     """
     a, b, c, d, e = blocks
     n = c.shape[-1]
     if n > DENSE_CAP:
         raise ValueError(f"size {n} exceeds dense cap {DENSE_CAP}")
-    dense = np.triu(np.swapaxes(a, -1, -2) @ b, 1) + np.tril(np.swapaxes(d, -1, -2) @ e, -1)
+    upper = np.arange(n)[:, None] < np.arange(n)
+    dense = np.where(upper, np.swapaxes(a, -1, -2) @ b, np.swapaxes(d, -1, -2) @ e)
     dense = dense.astype(c.dtype, copy=False)  # the diagonal's dtype, as np.diag(c)
     i = np.arange(n)
     dense[..., i, i] = c

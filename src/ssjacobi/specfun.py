@@ -120,8 +120,10 @@ def _kappa_squares(alpha: float, beta: float, nmax: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=8)
 def _rescaled_coeffs(alpha: float, beta: float, nmax: int):
-    """g_k, a_k (k < nmax), t_0 .. t_nmax and p_0 = 1 / sqrt(mass), in
-    longdouble, read-only, kept for the last 8 (alpha, beta, nmax).  With
+    """g_k, a_k (k < nmax), t_0 .. t_nmax, p_0 = 1 / sqrt(mass) and b_k
+    (k < nmax), in longdouble, read-only, kept for the last 8 (alpha, beta,
+    nmax).  a_k and b_k are Jacobi matrix entries, which depend on k only:
+    a[:q] and b[:q-1] are the Jacobi matrix of q <= nmax rows.  With
     p_k = t_k q_k, t_0 = t_1 = 1 and t_{k+1} = t_{k-1} b_{k-1} / b_k, the
     orthonormal b_k p_{k+1} = (x - a_k) p_k - b_{k-1} p_{k-1} (a_k, b_k of
     _jacobi_matrix) is q_{k+1} = g_k (x - a_k) q_k - q_{k-1} from q_0 = p_0,
@@ -134,9 +136,9 @@ def _rescaled_coeffs(alpha: float, beta: float, nmax: int):
     t[2::2], t[3::2] = np.cumprod(rho[0::2]), np.cumprod(rho[1::2])
     g = t[:-1] / (off * t[1:])
     a = diag[:-1]
-    for v in (g, a, t):
+    for v in (g, a, t, off):
         v.flags.writeable = False
-    return g, a, t, 1 / np.sqrt(np.longdouble(jacobi_weight_mass(alpha, beta)))
+    return g, a, t, 1 / np.sqrt(np.longdouble(jacobi_weight_mass(alpha, beta))), off
 
 
 # The kernel fills blocks of at most _BLOCK_VALUES values (one row at least).
@@ -205,7 +207,7 @@ def _orthonormal_blocks(g, a, x: np.ndarray, q0, rows=None):
 
 def _orthonormal_rows(alpha: float, beta: float, nmax: int, x: np.ndarray, rows=None):
     """t_n in the dtype of x and the kernel's blocks of q_n from q_0 = p_0: t_n q_n = p_n."""
-    g, a, t, p0 = _rescaled_coeffs(alpha, beta, nmax)
+    g, a, t, p0, _ = _rescaled_coeffs(alpha, beta, nmax)
     return t.astype(x.dtype), _orthonormal_blocks(g, a, x, p0, rows)
 
 
@@ -223,7 +225,7 @@ def jacobi_table(alpha: float, beta: float, nmax: int, x: np.ndarray) -> np.ndar
         raise DomainError(f"degree must be >= 0, got {nmax}")
     x = np.asarray(x)
     x = (x if x.dtype == np.longdouble else np.asarray(x, dtype=float)).reshape(-1)
-    g, a, t, _ = _rescaled_coeffs(alpha, beta, nmax)
+    g, a, t, _, _ = _rescaled_coeffs(alpha, beta, nmax)
     squares = _kappa_squares(alpha, beta, nmax)
     _, table = next(_orthonormal_blocks(g, a, x, 1, nmax + 1))
     table *= (t * np.sqrt(squares[0] / squares)).astype(x.dtype)[:, None]
@@ -337,9 +339,10 @@ _RESCALE_EVERY = 16
 
 def _christoffel_sweep(g, a, t, p0, x):
     """One pass of the kernel over the points x for the Q = len(g) node rule:
-    the weights 1 / sum_{k<Q} p_k(x)^2, one product per block, and the Newton
-    correction p_Q / p_Q' = b_{Q-1} p_Q p_{Q-1} / sum (Christoffel-Darboux, to
-    second order at a zero of p_Q), b_{Q-1} t_Q t_{Q-1} = t_{Q-1}^2 / g_{Q-1}.
+    the weights 1 / sum_{k<Q} p_k(x)^2, one product per block (one einsum
+    pass in longdouble, which has no BLAS matmul), and the Newton correction
+    p_Q / p_Q' = b_{Q-1} p_Q p_{Q-1} / sum (Christoffel-Darboux, to second
+    order at a zero of p_Q), b_{Q-1} t_Q t_{Q-1} = t_{Q-1}^2 / g_{Q-1}.
 
     Near the ends of (-1, 1) p_k grows like the inverse square root of the
     weight, past the double range at large alpha, beta and Q.  So between
@@ -357,7 +360,11 @@ def _christoffel_sweep(g, a, t, p0, x):
     t2 = (t[:q] ** 2).astype(x.dtype)
     for k0, block in _orthonormal_blocks(g, a, x, p0, _RESCALE_EVERY):
         k1 = k0 + len(block)
-        ssum += t2[k0:k1] @ np.square(block[: q - k0])  # the rows below q_Q
+        rows = block[: q - k0]  # the rows below q_Q
+        if x.dtype == np.longdouble:
+            ssum += np.einsum("k,kn,kn->n", t2[k0:k1], rows, rows)
+        else:
+            ssum += t2[k0:k1] @ np.square(rows)
         big = np.flatnonzero(ssum > limit) if k1 <= q else []
         if len(big):
             e = np.frexp(ssum[big])[1] // 2
@@ -412,16 +419,15 @@ def gauss_jacobi_rule(
         raise DomainError("gauss_jacobi_rule requires alpha, beta > -1")
     if n_nodes <= 0:
         raise DomainError(f"n_nodes must be >= 1, got {n_nodes}")
-    diag, off = _jacobi_matrix(alpha, beta, n_nodes)
-    try:
-        start = eigh_tridiagonal(diag.astype(float), off.astype(float), eigvals_only=True)
+    g, a, t, p0, b = _rescaled_coeffs(alpha, beta, n_nodes)
+    try:  # a and b[:-1] are the Jacobi matrix of n_nodes rows
+        start = eigh_tridiagonal(a.astype(float), b[:-1].astype(float), eigvals_only=True)
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise ConvergenceError("tridiagonal eigensolver failed") from exc
     x = np.asarray(start, dtype=dtype)
-    coeffs = _rescaled_coeffs(alpha, beta, n_nodes)
     tol = _NEWTON_ULPS * np.finfo(dtype).eps
     for sweep in range(_MAX_SWEEPS):
-        weights, delta = _christoffel_sweep(*coeffs, x)
+        weights, delta = _christoffel_sweep(g, a, t, p0, x)
         if sweep and np.max(np.abs(delta)) <= tol:
             break
         x = x - delta

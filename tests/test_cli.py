@@ -170,6 +170,22 @@ class TestVerify:
         assert err.startswith("numerical failure: FloatingPointError: recurrence")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [["--n", "3"], ["--alpha", "3", "--n", "24"]])
+    def test_report_times_each_build_and_check(self, argv, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert run(["verify", *argv, "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert list(report) == ["schema_version", "alpha", "beta", "n", "checks", "notes", "timings_s"]
+        timings = report["timings_s"]
+        assert list(timings) == ["builds", "checks"]
+        assert list(timings["builds"]) == list(jacobidiff.SOURCES)
+        assert list(timings["checks"]) == list(report["checks"])
+        values = [*timings["builds"].values(), *timings["checks"].values()]
+        assert all(isinstance(v, float) and 0 <= v < 60 for v in values)
+        lines = capsys.readouterr().out.splitlines()
+        assert len([ln for ln in lines if ln.startswith(("PASS", "FAIL"))]) == len(report["checks"])
+        assert not any("timing" in ln for ln in lines)
+
     def test_against_wrong_size_file(self, tmp_path):
         gfile = tmp_path / "g.json"
         run(["gen", "--n", "8", "--format", "json", "--source", "generators",
@@ -179,14 +195,29 @@ class TestVerify:
                     "--out", str(out)]) == 1
 
 
-def reference_product_error(n, rng):
-    """The rank-1 product check pair by pair: one ``product`` per pair."""
+def report_without_timings(path):
+    """The file's text, or for a verify report its JSON with ``timings_s``,
+    the one part that changes from run to run, taken out."""
+    text = path.read_text()
+    if not text.startswith("{") or "timings_s" not in (report := json.loads(text)):
+        return text
+    del report["timings_s"]
+    return json.dumps(report, indent=2)
+
+
+def reference_product_error(n, rng, rounded=True):
+    """The rank-1 product check pair by pair: one ``product`` per pair, its
+    blocks rounded to double (as the check rounds them) or, with
+    ``rounded=False``, its extended-precision dense form."""
     prod_err = 0.0
     for _ in range(cli.PRODUCT_CHECK_PAIRS):
         ga = cli._random_generators(n, 1, rng)
         gb = cli._random_generators(n, 1, rng)
         dp = ga.to_dense() @ gb.to_dense()
-        err = np.abs(semisep.product(ga, gb).to_dense() - dp).max()
+        prod = semisep.product(ga, gb)
+        if rounded:
+            prod = semisep.SemiSepGenerators(n, *(v.astype(float) for v in prod.blocks))
+        err = np.abs(prod.to_dense() - dp).max()
         prod_err = max(prod_err, float(err / max(np.abs(dp).max(), 1e-30)))
     return prod_err
 
@@ -227,6 +258,27 @@ class TestRank1ProductCheck:
         got = cli._rank1_product_error(n, np.random.default_rng(5))
         assert [len(A[2]) for A, _ in stacks] == sizes
         assert got == reference_product_error(n, np.random.default_rng(5))
+
+    @pytest.mark.parametrize("n", [3, 48, 128])
+    def test_rounding_moves_the_error_by_at_most_1e_15(self, n):
+        got = cli._rank1_product_error(n, np.random.default_rng(5))
+        extended = reference_product_error(n, np.random.default_rng(5), rounded=False)
+        assert abs(got - extended) <= 1e-15
+
+    @pytest.mark.parametrize("n", [3, 48, 128])
+    def test_no_dense_form_is_extended_precision(self, n, monkeypatch):
+        real = semisep.dense_blocks
+        dtypes = []
+
+        def wrapped(blocks):
+            dtypes.extend(v.dtype for v in blocks)
+            return real(blocks)
+
+        monkeypatch.setattr(semisep, "dense_blocks", wrapped)
+        cli._rank1_product_error(n, np.random.default_rng(5))
+        stacks = -(-cli.PRODUCT_CHECK_PAIRS // max(1, cli.PRODUCT_CHECK_ENTRIES // n**2))
+        assert len(dtypes) == 3 * 5 * stacks  # both factors and the product, per stack
+        assert set(dtypes) == {np.dtype(np.float64)}
 
     def test_draws_leave_the_generator_where_the_loop_does(self):
         rng, ref = np.random.default_rng(6), np.random.default_rng(6)
@@ -354,7 +406,7 @@ class TestParser:
                 code, printed = proc.returncode, (proc.stdout, proc.stderr)
             else:
                 code, printed = run(argv), tuple(capsys.readouterr())
-            return code, out.read_bytes() if out.exists() else None, printed
+            return code, report_without_timings(out) if out.exists() else None, printed
 
         shared = [call(argv, fresh=False) for argv in argvs]
         assert shared == [call(argv, fresh=True) for argv in argvs]

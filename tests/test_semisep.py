@@ -339,6 +339,18 @@ class TestStackedBlocks:
             assert dense[index].dtype == want.dtype
             assert np.array_equal(dense[index], want)
 
+    @pytest.mark.parametrize("lead", [(), LEAD])
+    @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    @pytest.mark.parametrize("rank", [0, 1, 2])
+    def test_dense_form_is_the_triangle_formula(self, rank, n, dtype, lead):
+        a, b, c, d, e = blocks = stacked_blocks(lead, n, rank, np.random.default_rng(80 + n), dtype)
+        want = np.triu(np.swapaxes(a, -1, -2) @ b, 1) + np.tril(np.swapaxes(d, -1, -2) @ e, -1)
+        i = np.arange(n)
+        want[..., i, i] = c
+        got = dense_blocks(blocks)
+        assert got.dtype == dtype and np.array_equal(got, want)
+
     def test_dense_cap_applies_to_stacks(self):
         n = DENSE_CAP + 1
         z = np.zeros((2, 0, n))
