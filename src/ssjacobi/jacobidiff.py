@@ -41,11 +41,9 @@ __all__ = [
     "DiffMatrixBuild",
     "InternalConsistencyError",
     "SOURCES",
-    "kappa",
     "kappa_vector",
     "t_s_integrals",
     "dtilde_first_column",
-    "recurrence_coeffs",
     "dtilde_lower_triangle",
     "d_entry_closed_form",
     "generators",
@@ -68,13 +66,6 @@ def kappa_vector(params: JacobiParams, nmax: int) -> np.ndarray:
     orthonormal: the square root of the longdouble kappa^2 product that
     jacobi_table scales its rows by, rounded to double once."""
     return np.sqrt(_kappa_squares(params.alpha, params.beta, nmax)).astype(float)
-
-
-def kappa(params: JacobiParams, n: int) -> float:
-    """kappa_n: entry n of ``kappa_vector``."""
-    if n < 0:
-        raise DomainError(f"n must be >= 0, got {n}")
-    return float(kappa_vector(params, n)[n])
 
 
 def t_s_integrals(params: JacobiParams, m: int) -> tuple[float, float]:
@@ -135,14 +126,6 @@ def dtilde_first_column(params: JacobiParams, m: int) -> float:
             f"{via_bracket!r} vs {via_moments!r}"
         )
     return via_bracket
-
-
-def recurrence_coeffs(params: JacobiParams, n: int) -> tuple[float, float, float]:
-    """Coefficients (c_n, d_n, e_n) of the bilateral recurrence."""
-    if n < 0:
-        raise DomainError(f"n must be >= 0, got {n}")
-    c, d, e = _coeff_arrays(params, n)
-    return float(c[n]), float(d[n]), float(e[n])
 
 
 def _coeff_arrays(params: JacobiParams, nmax: int):

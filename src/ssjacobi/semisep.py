@@ -25,13 +25,11 @@ __all__ = [
     "SingularityError",
     "DENSE_CAP",
     "skew_expand",
-    "add",
     "scale",
     "product",
     "product_blocks",
     "dense_blocks",
     "solve_structured",
-    "truncate",
     "to_json",
     "from_json",
 ]
@@ -188,20 +186,6 @@ def skew_expand(pair: SkewGeneratorPair) -> SemiSepGenerators:
     return pair
 
 
-def add(ga: SemiSepGenerators, gb: SemiSepGenerators) -> SemiSepGenerators:
-    """Generator-level sum; ranks add, dense forms add exactly."""
-    if ga.n != gb.n:
-        raise ValueError(f"size mismatch: {ga.n} vs {gb.n}")
-    return SemiSepGenerators(
-        n=ga.n,
-        a=np.vstack([ga.a, gb.a]),
-        b=np.vstack([ga.b, gb.b]),
-        c=ga.c + gb.c,
-        d=np.vstack([ga.d, gb.d]),
-        e=np.vstack([ga.e, gb.e]),
-    )
-
-
 def scale(g: SemiSepGenerators, s: float) -> SemiSepGenerators:
     """s * A, scaling the row-side generators and the diagonal."""
     return SemiSepGenerators(n=g.n, a=s * g.a, b=g.b, c=s * g.c, d=s * g.d, e=g.e)
@@ -318,24 +302,6 @@ def product(ga: SemiSepGenerators, gb: SemiSepGenerators) -> SemiSepGenerators:
         raise ValueError(f"size mismatch: {ga.n} vs {gb.n}")
     a, b, c, d, e = product_blocks(ga.blocks, gb.blocks)
     return SemiSepGenerators(n=ga.n, a=a, b=b, c=c, d=d, e=e)
-
-
-def truncate(g: SemiSepGenerators, n_out: int) -> SemiSepGenerators:
-    """Leading n_out x n_out block of the represented matrix.
-
-    Combined with forming a product at a larger horizon, this gives the
-    extended-tail approximation of an infinite-operator product.
-    """
-    if not (1 <= n_out <= g.n):
-        raise ValueError(f"n_out must be in [1, {g.n}], got {n_out}")
-    return SemiSepGenerators(
-        n=n_out,
-        a=g.a[:, :n_out],
-        b=g.b[:, :n_out],
-        c=g.c[:n_out],
-        d=g.d[:, :n_out],
-        e=g.e[:, :n_out],
-    )
 
 
 class BandedMatrix:

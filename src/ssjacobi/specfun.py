@@ -1,4 +1,4 @@
-"""Special-function primitives: log-gamma, Pochhammer, Jacobi polynomials,
+"""Special-function primitives: log-gamma, Jacobi polynomials,
 Gauss-Jacobi quadrature and generalized hypergeometric series.
 
 Everything here is a pure function of its arguments; quadrature rules are
@@ -22,7 +22,6 @@ __all__ = [
     "UnsupportedError",
     "ConvergenceError",
     "log_gamma",
-    "pochhammer",
     "jacobi_eval",
     "jacobi_table",
     "jacobi_reflection_check",
@@ -94,16 +93,6 @@ def log_gamma(z: float) -> float:
     if not math.isfinite(z) or z <= 0:
         raise DomainError(f"log_gamma requires finite z > 0, got {z!r}")
     return math.lgamma(z)
-
-
-def pochhammer(z: float, m: int) -> float:
-    """Rising factorial (z)_m = z (z+1) ... (z+m-1); (z)_0 = 1."""
-    if m < 0:
-        raise DomainError(f"pochhammer requires m >= 0, got {m}")
-    out = 1.0
-    for k in range(m):
-        out *= z + k
-    return out
 
 
 def _kappa_squares(alpha: float, beta: float, nmax: int) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Weighted orthonormal basis evaluation, the coefficient map, and two
-model time-steppers (implicit-Euler diffusion, Cayley advection).
+model time-steppers: implicit-Euler diffusion u_t = u_xx and Cayley
+advection u_t = -u_x, whose solution is u(x, t) = f(x - t).
 
 The basis is phi_n = kappa_n (1-x)^(alpha/2) (1+x)^(beta/2) P_n^(alpha,beta);
 it is orthonormal in L2(-1, 1) and vanishes at the endpoints, so the
@@ -22,7 +23,6 @@ from .specfun import DomainError, JacobiParams, _orthonormal_rows, gauss_jacobi_
 
 __all__ = [
     "CoeffVector",
-    "wfun_eval",
     "wfun_table",
     "expand",
     "reconstruct",
@@ -81,13 +81,6 @@ def wfun_table(params: JacobiParams, nmax: int, x) -> np.ndarray:
     t, blocks = _orthonormal_rows(params.alpha, params.beta, nmax, x, nmax + 1)
     _, table = next(blocks)
     return t[:, None] * table * _sqrt_weight(params, x)[None, :]
-
-
-def wfun_eval(params: JacobiParams, n: int, x):
-    """phi_n(x) = kappa_n (1-x)^(a/2) (1+x)^(b/2) P_n^(a,b)(x); 0 at x = +-1."""
-    scalar = np.ndim(x) == 0
-    vals = wfun_table(params, n, x)[n]
-    return float(vals[0]) if scalar else vals
 
 
 def _sample(f, nodes: np.ndarray) -> np.ndarray:
@@ -227,7 +220,11 @@ def step_diffusion(build: DiffMatrixBuild, u: CoeffVector, dt: float) -> CoeffVe
 
 
 def step_advection_cayley(build: DiffMatrixBuild, u: CoeffVector, dt: float) -> CoeffVector:
-    """One Cayley step of u_t = u_x: (I - dt/2 D) u+ = (I + dt/2 D) u.
+    """One Cayley step of u_t = -u_x: (I - dt/2 D) u+ = (I + dt/2 D) u.
+
+    The derivative coefficients are -D u (see ``differentiate``), so this
+    steps u' = D u, the advection to the right whose solution from
+    u(x, 0) = f(x) is u(x, t) = f(x - t).
 
     The Cayley transform of a skew-symmetric matrix is orthogonal, so the
     step conserves the l2 norm.  As I + hD = 2I - (I - hD), the step is

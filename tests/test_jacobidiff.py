@@ -17,11 +17,9 @@ from ssjacobi.jacobidiff import (
     dtilde_first_column,
     dtilde_lower_triangle,
     generators,
-    kappa,
     kappa_vector,
     oracle_entry,
     oracle_matrix,
-    recurrence_coeffs,
     t_s_integrals,
     write_dense_csv,
 )
@@ -34,15 +32,16 @@ P42 = JacobiParams(4.0, 2.0)
 
 class TestKappa:
     def test_frozen_values(self):
-        assert kappa(JacobiParams(0.5, 0.5), 0) > 0
-        assert kappa(P22, 0) == pytest.approx(math.sqrt(15.0) / 4.0, rel=1e-14)
-        assert kappa(P22, 1) == pytest.approx(math.sqrt(35.0 / 48.0), rel=1e-14)
+        assert kappa_vector(JacobiParams(0.5, 0.5), 0)[0] > 0
+        kv = kappa_vector(P22, 1)
+        assert kv[0] == pytest.approx(math.sqrt(15.0) / 4.0, rel=1e-14)
+        assert kv[1] == pytest.approx(math.sqrt(35.0 / 48.0), rel=1e-14)
 
     def test_limit_parameters(self):
         # kappa_0 for the flat weight tends to 1/sqrt(2) as both exponents
         # shrink; probe with a small positive value.
         small = JacobiParams(1e-8, 1e-8)
-        assert kappa(small, 0) == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-6)
+        assert kappa_vector(small, 0)[0] == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-6)
 
     @pytest.mark.parametrize("alpha,beta", [(2.3, 4.1), (2.0, 2.0), (100.0, 150.0),
                                             (0.001, 30.0), (0.5, 12.0)])
@@ -61,11 +60,6 @@ class TestKappa:
             )
             assert abs(kv[n] - ref) <= 1e-15 * ref, n
 
-    def test_vector_consistency(self):
-        kv = kappa_vector(P42, 6)
-        for n in range(7):
-            assert kv[n] == pytest.approx(kappa(P42, n), rel=1e-15)
-
     def test_normalizes_unit_mass(self):
         # Orthonormality against the weight: the n-th normalized polynomial
         # has unit weighted L2 norm.
@@ -75,7 +69,7 @@ class TestKappa:
             rule = gauss_jacobi_rule(P42.alpha, P42.beta, n + 1)
             nodes = np.asarray(rule.nodes, dtype=float)
             weights = np.asarray(rule.weights, dtype=float)
-            vals = kappa(P42, n) * jacobi_eval(P42.alpha, P42.beta, n, nodes)
+            vals = kappa_vector(P42, n)[n] * jacobi_eval(P42.alpha, P42.beta, n, nodes)
             assert float(weights @ vals**2) == pytest.approx(1.0, rel=1e-12)
 
 
@@ -145,16 +139,15 @@ class TestFirstColumn:
 
 class TestRecurrenceCoeffs:
     def test_frozen_values(self):
-        c0, d0, e0 = recurrence_coeffs(P22, 0)
+        (c0,), (d0,), (e0,) = jacobidiff._coeff_arrays(P22, 0)
         assert d0 == 0.0
         assert c0 == pytest.approx(1.0 / 5.0, rel=1e-14)
         assert e0 == pytest.approx(1.0 / 6.0, rel=1e-14)
 
     def test_positivity(self):
         for p in (P22, P42, JacobiParams(0.5, 1.5)):
-            for n in range(8):
-                cn, _, en = recurrence_coeffs(p, n)
-                assert cn > 0 and en > 0
+            c, _, e = jacobidiff._coeff_arrays(p, 7)
+            assert np.all(c > 0) and np.all(e > 0)
 
 
 class TestLowerTriangleTable:
@@ -167,7 +160,8 @@ class TestLowerTriangleTable:
         assert table[1, 0] == pytest.approx(8.0 / 5.0, rel=1e-13)
         assert abs(table[2, 0]) <= 1e-13
         # Cross-check an interior entry against exact quadrature.
-        ref = oracle_entry(P22, 2, 1) / (kappa(P22, 2) * kappa(P22, 1))
+        kv = kappa_vector(P22, 2)
+        ref = oracle_entry(P22, 2, 1) / (kv[2] * kv[1])
         assert table[2, 1] == pytest.approx(ref, rel=1e-11)
 
     def test_symmetric_parity(self):
@@ -182,7 +176,8 @@ class TestClosedForm:
         assert d_entry_closed_form(P22, 1, 0) == pytest.approx(
             math.sqrt(7.0) / 2.0, rel=1e-13
         )
-        ref = kappa(P21, 1) * kappa(P21, 0) * (5.0 / 3.0)
+        kv = kappa_vector(P21, 1)
+        ref = kv[1] * kv[0] * (5.0 / 3.0)
         assert d_entry_closed_form(P21, 1, 0) == pytest.approx(ref, rel=1e-13)
 
     def test_skew_orientation(self):

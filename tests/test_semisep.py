@@ -17,7 +17,6 @@ from ssjacobi.semisep import (
     ShiftedSolver,
     SingularityError,
     SkewGeneratorPair,
-    add,
     dense_blocks,
     from_json,
     product,
@@ -27,7 +26,6 @@ from ssjacobi.semisep import (
     skew_expand,
     solve_structured,
     to_json,
-    truncate,
 )
 from ssjacobi.specfun import JacobiParams
 
@@ -166,26 +164,13 @@ class TestMatvec:
             SemiSepGenerators.identity(3).matvec(np.ones(4))
 
 
-class TestAddScale:
-    def test_additive_inverse(self):
+class TestScale:
+    @pytest.mark.parametrize("s", [-1.0, 0.37, -2.5e3])
+    def test_matches_scaled_dense(self, s):
         rng = np.random.default_rng(7)
         g = random_generators(10, 2, rng)
-        total = add(g, scale(g, -1.0))
-        assert np.abs(total.to_dense()).max() <= 1e-14
-
-    def test_diagonal_sum(self):
-        ga = SemiSepGenerators.diagonal([1.0, 2.0])
-        gb = SemiSepGenerators.diagonal([3.0, 4.0])
-        assert np.allclose(add(ga, gb).to_dense(), np.diag([4.0, 6.0]))
-
-    def test_rank_accumulates(self):
-        rng = np.random.default_rng(8)
-        g = add(random_generators(5, 2, rng), random_generators(5, 1, rng))
-        assert g.rank == 3
-
-    def test_size_mismatch(self):
-        with pytest.raises(ValueError):
-            add(SemiSepGenerators.identity(2), SemiSepGenerators.identity(3))
+        ref = s * g.to_dense()
+        assert np.abs(scale(g, s).to_dense() - ref).max() <= 1e-15 * np.abs(ref).max()
 
 
 class TestProductRank1:
@@ -356,20 +341,6 @@ class TestStackedBlocks:
         z = np.zeros((2, 0, n))
         with pytest.raises(ValueError, match="dense cap"):
             dense_blocks((z, z, np.zeros((2, n)), z, z))
-
-
-class TestTruncate:
-    def test_leading_block(self):
-        rng = np.random.default_rng(14)
-        g = random_generators(12, 2, rng)
-        assert np.allclose(truncate(g, 5).to_dense(), g.to_dense()[:5, :5])
-
-    def test_bounds(self):
-        g = SemiSepGenerators.identity(4)
-        with pytest.raises(ValueError):
-            truncate(g, 0)
-        with pytest.raises(ValueError):
-            truncate(g, 5)
 
 
 class TestSkewGeneratorPair:

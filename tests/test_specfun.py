@@ -6,8 +6,6 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from ssjacobi import specfun
 from ssjacobi.jacobidiff import kappa_vector
@@ -24,7 +22,6 @@ from ssjacobi.specfun import (
     jacobi_table,
     jacobi_weight_mass,
     log_gamma,
-    pochhammer,
 )
 
 
@@ -45,30 +42,6 @@ class TestLogGamma:
     def test_domain_errors(self, bad):
         with pytest.raises(DomainError):
             log_gamma(bad)
-
-
-class TestPochhammer:
-    def test_frozen_values(self):
-        assert pochhammer(7.3, 0) == 1.0
-        assert pochhammer(3.0, 4) == pytest.approx(360.0, rel=1e-14)
-        assert pochhammer(-2.0, 4) == 0.0
-
-    def test_gamma_ratio_agreement(self):
-        for z in [0.3, 1.0, 4.5]:
-            for m in [1, 3, 7]:
-                ref = math.exp(log_gamma(z + m) - log_gamma(z))
-                assert pochhammer(z, m) == pytest.approx(ref, rel=1e-13)
-
-    @settings(max_examples=100, deadline=None)
-    @given(
-        z=st.floats(min_value=-5, max_value=5, allow_nan=False),
-        m=st.integers(min_value=0, max_value=10),
-        k=st.integers(min_value=0, max_value=10),
-    )
-    def test_composition_identity(self, z, m, k):
-        lhs = pochhammer(z, m) * pochhammer(z + m, k)
-        rhs = pochhammer(z, m + k)
-        assert lhs == pytest.approx(rhs, rel=1e-13, abs=1e-13)
 
 
 class TestJacobiEval:

@@ -16,7 +16,6 @@ from ssjacobi.spectral import (
     reconstruct,
     step_advection_cayley,
     step_diffusion,
-    wfun_eval,
     wfun_table,
     write_norm_series_csv,
 )
@@ -36,15 +35,14 @@ class TestBasisEvaluation:
     def test_endpoints_vanish(self):
         for p in (P22, P42, JacobiParams(0.5, 1.5)):
             for n in (0, 1, 5):
-                assert wfun_eval(p, n, 1.0) == 0.0
-                assert wfun_eval(p, n, -1.0) == 0.0
+                assert np.array_equal(wfun_table(p, n, [1.0, -1.0])[n], [0.0, 0.0])
 
     def test_frozen_value_at_zero(self):
-        assert wfun_eval(P22, 0, 0.0) == pytest.approx(math.sqrt(15.0) / 4.0, rel=1e-14)
+        assert wfun_table(P22, 0, 0.0)[0, 0] == pytest.approx(math.sqrt(15.0) / 4.0, rel=1e-14)
 
     def test_outside_domain_rejected(self):
         with pytest.raises(DomainError):
-            wfun_eval(P22, 0, 1.0001)
+            wfun_table(P22, 0, 1.0001)
         with pytest.raises(DomainError):
             wfun_table(P22, 3, np.array([0.0, -1.5]))
 
@@ -56,19 +54,19 @@ class TestBasisEvaluation:
                 rule = gauss_jacobi_rule(0.0, 0.0, n + 32)
                 nodes = np.asarray(rule.nodes, dtype=float)
                 weights = np.asarray(rule.weights, dtype=float)
-                vals = wfun_eval(p, n, nodes)
+                vals = wfun_table(p, n, nodes)[n]
                 assert float(weights @ vals**2) == pytest.approx(1.0, rel=1e-12)
 
 
 class TestExpand:
     def test_basis_function_gives_unit_coordinate(self):
-        u = expand(P22, lambda x: wfun_eval(P22, 3, x), 8)
+        u = expand(P22, lambda x: wfun_table(P22, 3, x)[3], 8)
         expected = np.zeros(8)
         expected[3] = 1.0
         assert np.abs(u.coeffs - expected).max() <= 1e-12
 
     def test_linearity(self):
-        f = lambda x: 2.0 * wfun_eval(P22, 0, x) - wfun_eval(P22, 2, x)
+        f = lambda x: 2.0 * wfun_table(P22, 0, x)[0] - wfun_table(P22, 2, x)[2]
         u = expand(P22, f, 6)
         expected = np.array([2.0, 0.0, -1.0, 0.0, 0.0, 0.0])
         assert np.abs(u.coeffs - expected).max() <= 1e-12
@@ -299,10 +297,10 @@ class TestReconstruct:
         assert np.abs(vals - ref).max() <= 1e-8
 
     def test_scalar_point(self):
-        u = expand(P22, lambda x: wfun_eval(P22, 1, x), 4)
+        u = expand(P22, lambda x: wfun_table(P22, 1, x)[1], 4)
         got = reconstruct(u, 0.25)
         assert isinstance(got, float)
-        assert got == pytest.approx(wfun_eval(P22, 1, 0.25), abs=1e-12)
+        assert got == pytest.approx(wfun_table(P22, 1, 0.25)[1, 0], abs=1e-12)
 
     @pytest.mark.parametrize("x", [1.5, [0.0, -1.0001]])
     def test_outside_domain_rejected(self, x):
@@ -368,7 +366,7 @@ class TestDifferentiate:
         # f is the full weight (1-x^2)^2 scaled to the lowest basis
         # function's normalization; its derivative is analytic.
         n_size = 16
-        k0 = float(jacobidiff.kappa(P22, 0))
+        k0 = float(kappa_vector(P22, 0)[0])
         f = lambda x: k0 * (1.0 - x * x) ** 2
         fprime = lambda x: k0 * 2.0 * (1.0 - x * x) * (-2.0 * x)
         u = expand(P22, f, n_size)
@@ -424,6 +422,47 @@ class TestDiffusionStepper:
         u = CoeffVector(params=P22, coeffs=np.zeros(8))
         with pytest.raises(DomainError):
             step_diffusion(b, u, 0.0)
+
+
+_MARCH_POINTS = np.linspace(-0.9, 0.9, 721)
+
+
+def _march(step, f, n_steps, t_end):
+    """Values at _MARCH_POINTS after n_steps steps of size t_end / n_steps
+    from f, at (2, 2) and N = 256."""
+    b = jacobidiff.build(P22, 256, "generators")
+    u = expand(P22, f, 256)
+    for _ in range(n_steps):
+        u = step(b, u, t_end / n_steps)
+    return reconstruct(u, _MARCH_POINTS)
+
+
+def _max_error(vals, exact):
+    return float(np.abs(vals - exact(_MARCH_POINTS)).max())
+
+
+class TestExactSolutions:
+    def test_diffusion_heat_kernel_first_order(self):
+        # g(x, t) = sqrt(t0/(t0+t)) exp(-x^2 / (4 (t0+t))) solves u_t = u_xx;
+        # implicit Euler halves its error as the step count doubles.
+        t0, t_end = 0.005, 0.002
+        g = lambda x, t: np.sqrt(t0 / (t0 + t)) * np.exp(-x * x / (4 * (t0 + t)))
+        exact = lambda x: g(x, t_end)
+        err200 = _max_error(_march(step_diffusion, lambda x: g(x, 0.0), 200, t_end), exact)
+        err400 = _max_error(_march(step_diffusion, lambda x: g(x, 0.0), 400, t_end), exact)
+        assert err200 <= 3e-4
+        assert 1.8 <= err200 / err400 <= 2.2
+
+    def test_advection_moves_right_second_order(self):
+        # The Cayley step solves u_t = -u_x: u(x, t) = f(x - t), not f(x + t).
+        f = lambda x: np.exp(-40.0 * x * x)
+        right = lambda x: f(x - 0.2)
+        err200 = _max_error(_march(step_advection_cayley, f, 200, 0.2), right)
+        vals400 = _march(step_advection_cayley, f, 400, 0.2)
+        err400 = _max_error(vals400, right)
+        assert err400 <= 1e-5
+        assert _max_error(vals400, lambda x: f(x + 0.2)) >= 0.5
+        assert 3.5 <= err200 / err400 <= 4.5
 
 
 class TestCayleyStepper:
