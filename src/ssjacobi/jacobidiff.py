@@ -20,6 +20,7 @@ with that orientation, so D[1, 0] > 0 on every route (see
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -30,9 +31,10 @@ from .specfun import (
     DomainError,
     JacobiParams,
     _kappa_squares,
+    _orthonormal_rows,
+    _sum_series,
     gauss_jacobi_rule,
     hyper_pfq_at,
-    jacobi_table,
     log_gamma,
 )
 from .semisep import ShiftedSolver, SkewGeneratorPair, scale
@@ -42,8 +44,6 @@ __all__ = [
     "InternalConsistencyError",
     "SOURCES",
     "kappa_vector",
-    "t_s_integrals",
-    "dtilde_first_column",
     "dtilde_lower_triangle",
     "d_entry_closed_form",
     "generators",
@@ -63,24 +63,9 @@ class InternalConsistencyError(ArithmeticError):
 
 def kappa_vector(params: JacobiParams, nmax: int) -> np.ndarray:
     """Normalization constants kappa_0 .. kappa_nmax making kappa_n P_n^(a,b)
-    orthonormal: the square root of the longdouble kappa^2 product that
-    jacobi_table scales its rows by, rounded to double once."""
+    orthonormal: the square root of the longdouble kappa^2 product,
+    rounded to double once."""
     return np.sqrt(_kappa_squares(params.alpha, params.beta, nmax)).astype(float)
-
-
-def t_s_integrals(params: JacobiParams, m: int) -> tuple[float, float]:
-    """Closed forms of the two shifted-weight moments of P_m^(a,b)."""
-    if m < 0:
-        raise DomainError(f"m must be >= 0, got {m}")
-    a, b = params.alpha, params.beta
-    s = a + b
-    t = math.exp(
-        s * math.log(2.0) + log_gamma(a) + log_gamma(m + b + 1) - log_gamma(m + s + 1)
-    )
-    sm = (-1.0) ** m * math.exp(
-        s * math.log(2.0) + log_gamma(m + a + 1) + log_gamma(b) - log_gamma(m + s + 1)
-    )
-    return t, sm
 
 
 def _first_column_array(params: JacobiParams, mmax: int) -> np.ndarray:
@@ -105,27 +90,6 @@ def _first_column_array(params: JacobiParams, mmax: int) -> np.ndarray:
     col = term1 - sign * term2
     col[0] = 0.0
     return col
-
-
-def dtilde_first_column(params: JacobiParams, m: int) -> float:
-    """First-column entry of the pre-differentiation matrix, m >= 1.
-
-    Computed both from the bracketed Gamma form and from the combination
-    (a/2) t_m - (b/2) s_m of the moment integrals; the two must agree.
-    """
-    if m < 1:
-        raise DomainError(f"m must be >= 1, got {m}")
-    a, b = params.alpha, params.beta
-    via_bracket = float(_first_column_array(params, m)[m])
-    t, sm = t_s_integrals(params, m)
-    via_moments = 0.5 * a * t - 0.5 * b * sm
-    scale = max(abs(via_bracket), abs(via_moments), 1e-300)
-    if abs(via_bracket - via_moments) > 1e-12 * scale:
-        raise InternalConsistencyError(
-            f"first-column routes disagree at m={m}: "
-            f"{via_bracket!r} vs {via_moments!r}"
-        )
-    return via_bracket
 
 
 def _coeff_arrays(params: JacobiParams, nmax: int):
@@ -265,40 +229,37 @@ def generators(params: JacobiParams, n_size: int) -> SkewGeneratorPair:
 
 
 def _oracle_table(params: JacobiParams, nmax: int):
-    """P_0 .. P_nmax at the nodes of the (nmax + 1)-node rule for the weight
-    (1-x)^(a-1) (1+x)^(b-1), and the rule's weights times the line
-    (a(1+x) - b(1-x)) / 2, in longdouble; together they integrate -w'/2."""
+    """The orthonormal p_0 .. p_nmax (p_n = kappa_n P_n) at the nodes of the
+    (nmax + 1)-node rule for the weight (1-x)^(a-1) (1+x)^(b-1), and the
+    rule's weights times the line (a(1+x) - b(1-x)) / 2, in longdouble;
+    together they integrate -w'/2."""
     a, b = params.alpha, params.beta
     rule = gauss_jacobi_rule(a - 1, b - 1, nmax + 1)
     x = rule.nodes
-    return jacobi_table(a, b, nmax, x), 0.5 * (a * (1 + x) - b * (1 - x)) * rule.weights
+    t, blocks = _orthonormal_rows(a, b, nmax, x, nmax + 1)
+    _, table = next(blocks)
+    table *= t[:, None]
+    return table, 0.5 * (a * (1 + x) - b * (1 - x)) * rule.weights
 
 
 def oracle_entry(params: JacobiParams, m: int, n: int) -> float:
-    """Lower-triangle entry by Gauss quadrature of -1/2 int w' P_m P_n with
-    m + 1 nodes: exact, since the line times P_m P_n has degree <= 2m."""
+    """Lower-triangle entry by Gauss quadrature of -1/2 int w' p_m p_n with
+    m + 1 nodes: exact, since the line times p_m p_n has degree <= 2m."""
     if m < n + 1:
         raise DomainError("oracle_entry covers the lower triangle m >= n + 1")
     table, weights = _oracle_table(params, m)
-    kvec = kappa_vector(params, m)
-    return float(kvec[m] * kvec[n] * (weights @ (table[m] * table[n])))
+    return float(weights @ (table[m] * table[n]))
 
 
 def oracle_matrix(params: JacobiParams, n_size: int) -> np.ndarray:
     """Full N x N differentiation matrix by Gauss quadrature with N nodes:
-    exact, since the line times P_m P_n, m, n < N, has degree <= 2N - 1."""
+    exact, since the line times p_m p_n, m, n < N, has degree <= 2N - 1."""
     if n_size < 1:
         raise DomainError(f"size must be >= 1, got {n_size}")
     table, weights = _oracle_table(params, n_size - 1)
     # The Gram is summed in longdouble: its sums cancel heavily near the diagonal.
-    dtilde = ((table * weights) @ table.T).astype(float)
-    return _skew(_scaled_lower(params, dtilde))
-
-
-def _scaled_lower(params: JacobiParams, dtilde: np.ndarray) -> np.ndarray:
-    """kappa_m kappa_n dtilde[m, n] on the strict lower triangle, 0 elsewhere."""
-    kvec = kappa_vector(params, dtilde.shape[0] - 1)
-    return np.tril(kvec[:, None] * kvec * dtilde, -1)
+    gram = ((table * weights) @ table.T).astype(float)
+    return _skew(np.tril(gram, -1))
 
 
 def _skew(lower: np.ndarray) -> np.ndarray:
@@ -306,34 +267,9 @@ def _skew(lower: np.ndarray) -> np.ndarray:
     return lower - lower.T
 
 
-_SUM_MAX_TERMS = 10_000
-
-
-def _direct_series(term_fn) -> float:
-    """Sum of term_fn(0), term_fn(1), ... until three terms in a row are at
-    most 1e-17 of the partial sum.  The rule is relative, so a sum far
-    below 1 is not cut short."""
-    total = 0.0
-    small = 0
-    for n in range(_SUM_MAX_TERMS):
-        t = term_fn(n)
-        total += t
-        if abs(t) <= 1e-17 * abs(total):
-            small += 1
-            if small >= 3:
-                return total
-        else:
-            small = 0
-    raise InternalConsistencyError("generator-sum series failed to converge")
-
-
-def boundedness_sums(params: JacobiParams) -> tuple[float, float, float]:
-    """The three infinite b-generator sums governing boundedness.
-
-    Each is computed both as the hypergeometric combination and by direct
-    term summation; the routes must agree to 1e-8 relative.  Returns
-    (sum b1^2, sum b1 b2, sum b2^2) from the direct summation.
-    """
+def _boundedness_routes(params: JacobiParams):
+    """The three b-generator sums (sum b1^2, sum b1 b2, sum b2^2) by direct
+    term summation, and the same three as hypergeometric combinations."""
     a, b = params.alpha, params.beta
     c = a + b + 1.0
 
@@ -345,7 +281,9 @@ def boundedness_sums(params: JacobiParams) -> tuple[float, float, float]:
     def b1_b2(n):
         return (-1.0) ** n * 0.25 * (2 * n + c) * math.exp(-log_gamma(n + c))
 
-    direct = (_direct_series(square(a, b)), _direct_series(b1_b2), _direct_series(square(b, a)))
+    direct = tuple(
+        _sum_series(map(term, itertools.count())) for term in (square(a, b), b1_b2, square(b, a))
+    )
 
     def mixed_pair(x, y):
         lead = 0.25 * c * math.exp(log_gamma(x + 1) - log_gamma(y + 1) - log_gamma(c))
@@ -360,6 +298,17 @@ def boundedness_sums(params: JacobiParams) -> tuple[float, float, float]:
         - 0.5 * math.exp(-log_gamma(c + 1)) * hyper_pfq_at([2.0], [c + 1], -1.0),
         mixed_pair(b, a),
     )
+    return direct, hyp
+
+
+def boundedness_sums(params: JacobiParams) -> tuple[float, float, float]:
+    """The three infinite b-generator sums governing boundedness.
+
+    Each is computed both as the hypergeometric combination and by direct
+    term summation; the routes must agree to 1e-8 relative.  Returns
+    (sum b1^2, sum b1 b2, sum b2^2) from the direct summation.
+    """
+    direct, hyp = _boundedness_routes(params)
     for name, dv, hv in zip(("b1.b1", "b1.b2", "b2.b2"), direct, hyp):
         scale = max(abs(dv), abs(hv), 1e-300)
         if abs(dv - hv) > 1e-8 * scale:
@@ -440,7 +389,8 @@ def build(params: JacobiParams, n_size: int, source: str) -> DiffMatrixBuild:
         lower[rows, cols] = _closed_form_lower(params, rows, cols)
         matrix = _skew(lower)
     elif source == "recurrence":
-        matrix = _skew(_scaled_lower(params, dtilde_lower_triangle(params, n_size)))
+        kvec = kappa_vector(params, n_size - 1)
+        matrix = _skew(np.tril(kvec[:, None] * kvec * dtilde_lower_triangle(params, n_size), -1))
     else:
         matrix = oracle_matrix(params, n_size)
     if not np.all(np.isfinite(matrix)):

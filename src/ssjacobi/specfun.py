@@ -8,6 +8,7 @@ immutable after construction.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -429,15 +430,33 @@ def gauss_jacobi_rule(
     return QuadratureRule(nodes=x, weights=weights, alpha=alpha, beta=beta)
 
 
-_HYPER_MAX_TERMS = 10_000
+_SERIES_MAX_TERMS = 10_000
+
+
+def _sum_series(terms) -> float:
+    """Sum of the iterable ``terms`` once three terms in a row are at most
+    1e-17 of the partial sum.  The rule is relative, so a sum far below 1
+    is not cut short.  Raises ConvergenceError if the terms run out first
+    or after _SERIES_MAX_TERMS terms."""
+    total = 0.0
+    small = 0
+    for t in itertools.islice(terms, _SERIES_MAX_TERMS):
+        total += t
+        if abs(t) <= 1e-17 * abs(total):
+            small += 1
+            if small >= 3:
+                return total
+        else:
+            small = 0
+    raise ConvergenceError(f"series did not converge in {_SERIES_MAX_TERMS} terms")
 
 
 def hyper_pfq_at(numerators, denominators, z: float) -> float:
     """pFq(numerators; denominators; z) by direct term summation.
 
-    Requires p <= q, the entire regime; summation stops once the term
-    magnitude stays below 1e-16 * (1 + |partial sum|) for three
-    consecutive terms.
+    Requires p <= q, the entire regime.  Each term is the one before times
+    a ratio; the sum stops once three terms in a row are at most 1e-17 of
+    the partial sum (see _sum_series).
     """
     nums = [float(a) for a in numerators]
     dens = [float(b) for b in denominators]
@@ -446,23 +465,16 @@ def hyper_pfq_at(numerators, denominators, z: float) -> float:
     for b in dens:
         if b <= 0 and b == int(b):
             raise DomainError(f"denominator parameter {b} is a non-positive integer")
-    total = 0.0
-    term = 1.0
-    small = 0
-    for k in range(_HYPER_MAX_TERMS):
-        total += term
-        if abs(term) <= 1e-16 * (1.0 + abs(total)):
-            small += 1
-            if small >= 3:
-                return total
-        else:
-            small = 0
-        ratio = z / (k + 1.0)
-        for a in nums:
-            ratio *= a + k
-        for b in dens:
-            ratio /= b + k
-        term *= ratio
-    raise ConvergenceError(
-        f"hypergeometric series did not converge in {_HYPER_MAX_TERMS} terms"
-    )
+
+    def terms():
+        term = 1.0
+        for k in itertools.count():
+            yield term
+            ratio = z / (k + 1.0)
+            for a in nums:
+                ratio *= a + k
+            for b in dens:
+                ratio /= b + k
+            term *= ratio
+
+    return _sum_series(terms())

@@ -47,6 +47,15 @@ class TestGen:
         assert run(["gen", "--format", "json", "--source", "quadrature_oracle",
                     "--out", str(out)]) == 2
 
+    def test_json_above_dense_cap(self, tmp_path, capsys):
+        # The JSON form is O(N): no dense matrix is formed for it.
+        n = 2 * semisep.DENSE_CAP
+        out = tmp_path / "g.json"
+        assert run(["gen", "--n", str(n), "--format", "json", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == f"wrote {out}\n"
+        assert semisep.from_json(out.read_text()).n == n
+        assert run(["gen", "--n", str(n), "--out", str(tmp_path / "d.csv")]) == 2
+
     def test_deterministic_output(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         run(["gen", "--n", "16", "--out", str(a)])
@@ -126,6 +135,16 @@ class TestVerify:
             "boundedness_sums_dual_route",
         ):
             assert report["checks"][name]["pass"], name
+
+    def test_boundedness_check_records_the_measured_gap(self, tmp_path, monkeypatch, capsys):
+        routes = ((1.0, 2.0, 3.0), (1.0, 2.0, 3.0 * (1 + 1e-6)))
+        monkeypatch.setattr(jacobidiff, "_boundedness_routes", lambda params: routes)
+        out = tmp_path / "report.json"
+        assert run(["verify", "--n", "8", "--out", str(out)]) == 1
+        check = json.loads(out.read_text())["checks"]["boundedness_sums_dual_route"]
+        assert not check["pass"]
+        assert check["max_error"] == pytest.approx(1e-6, rel=1e-5)
+        assert "FAIL boundedness_sums_dual_route" in capsys.readouterr().out
 
     def test_against_matching_file(self, tmp_path):
         gfile = tmp_path / "g.json"

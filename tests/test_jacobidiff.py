@@ -7,20 +7,18 @@ import mpmath
 import numpy as np
 import pytest
 
-from ssjacobi import jacobidiff, semisep
+from ssjacobi import jacobidiff, semisep, specfun
 from ssjacobi.jacobidiff import (
     SOURCES,
     DiffMatrixBuild,
     boundedness_sums,
     build,
     d_entry_closed_form,
-    dtilde_first_column,
     dtilde_lower_triangle,
     generators,
     kappa_vector,
     oracle_entry,
     oracle_matrix,
-    t_s_integrals,
     write_dense_csv,
 )
 from ssjacobi.specfun import DomainError, JacobiParams, gauss_jacobi_rule, jacobi_table
@@ -73,47 +71,14 @@ class TestKappa:
             assert float(weights @ vals**2) == pytest.approx(1.0, rel=1e-12)
 
 
-class TestTSIntegrals:
-    def test_frozen_values(self):
-        p11 = JacobiParams(1.0, 1.0)
-        t0, s0 = t_s_integrals(p11, 0)
-        assert t0 == pytest.approx(2.0, rel=1e-14)
-        assert s0 == pytest.approx(2.0, rel=1e-14)
-
-    def test_odd_index_sign(self):
-        for p in (P22, P21, P42):
-            _, s1 = t_s_integrals(p, 1)
-            assert s1 < 0
-
-    def test_quadrature_cross_check(self):
-        # t_m integrates ((1+x)/2)^m against the (a-1, b) weight; s_m
-        # integrates ((1-x)/2)^m against the (a, b-1) weight with
-        # alternating sign.
-        from ssjacobi.specfun import gauss_jacobi_rule
-
-        p = JacobiParams(2.0, 3.0)
-        for m in (0, 1, 4):
-            rule = gauss_jacobi_rule(p.alpha - 1, p.beta, m + 4)
-            nodes = np.asarray(rule.nodes, dtype=float)
-            weights = np.asarray(rule.weights, dtype=float)
-            t_ref = float(weights @ ((1.0 + nodes) / 2.0) ** m)
-            rule2 = gauss_jacobi_rule(p.alpha, p.beta - 1, m + 4)
-            nodes2 = np.asarray(rule2.nodes, dtype=float)
-            weights2 = np.asarray(rule2.weights, dtype=float)
-            s_ref = (-1.0) ** m * float(weights2 @ ((1.0 - nodes2) / 2.0) ** m)
-            tm, sm = t_s_integrals(p, m)
-            assert tm == pytest.approx(t_ref, rel=1e-12)
-            assert sm == pytest.approx(s_ref, rel=1e-12)
-
-
 class TestFirstColumn:
     def test_frozen_values(self):
-        assert dtilde_first_column(P22, 1) == pytest.approx(8.0 / 5.0, rel=1e-13)
-        assert dtilde_first_column(P21, 1) == pytest.approx(5.0 / 3.0, rel=1e-13)
+        assert jacobidiff._first_column_array(P22, 1)[1] == pytest.approx(8.0 / 5.0, rel=1e-13)
+        assert jacobidiff._first_column_array(P21, 1)[1] == pytest.approx(5.0 / 3.0, rel=1e-13)
 
     def test_symmetric_even_vanishes(self):
         for m in (2, 4, 6):
-            assert abs(dtilde_first_column(P22, m)) <= 1e-14
+            assert abs(jacobidiff._first_column_array(P22, m)[m]) <= 1e-14
 
     @pytest.mark.parametrize("alpha,beta", [(0.5, 4.1), (2.3, 30.0), (300.0, 0.5)])
     @pytest.mark.parametrize("mmax", [0, 1, 254])
@@ -321,12 +286,15 @@ class TestOracle:
             return wrapper
 
         monkeypatch.setattr(jacobidiff, "gauss_jacobi_rule", counted(gauss_jacobi_rule))
-        monkeypatch.setattr(jacobidiff, "jacobi_table", counted(jacobi_table))
+        monkeypatch.setattr(jacobidiff, "_orthonormal_rows", counted(specfun._orthonormal_rows))
+        monkeypatch.setattr(jacobidiff, "kappa_vector", counted(kappa_vector))
+        for module in (jacobidiff, specfun):
+            monkeypatch.setattr(module, "jacobi_table", counted(jacobi_table), raising=False)
         oracle_matrix(P42, 12)
-        assert calls == ["gauss_jacobi_rule", "jacobi_table"]
+        assert calls == ["gauss_jacobi_rule", "_orthonormal_rows"]
         calls.clear()
         oracle_entry(P42, 5, 2)
-        assert calls == ["gauss_jacobi_rule", "jacobi_table"]
+        assert calls == ["gauss_jacobi_rule", "_orthonormal_rows"]
 
 
 class TestBoundednessSums:
@@ -351,6 +319,11 @@ class TestBoundednessSums:
         for a in (0.5, 2.0):
             s11, _, s22 = boundedness_sums(JacobiParams(a, a))
             assert s11 == pytest.approx(s22, rel=1e-10)
+
+    def test_tiny_sum_is_not_cut_short(self):
+        # The direct b1.b1 sum at (0.5, 12) is 3.7e-18: a stop rule that is
+        # absolute, not relative to the sum, ends it early.
+        assert boundedness_sums(JacobiParams(0.5, 12.0))[0] == 3.686792816696148e-18
 
     def test_cross_term_sign_alternation_converges(self):
         s11, s12, s22 = boundedness_sums(P42)
@@ -423,13 +396,12 @@ class TestBuild:
         else:
             if source == "closed_form":
                 lower_packed = jacobidiff._closed_form_lower(params, rows, cols)
-            else:
-                if source == "recurrence":
-                    dtilde = dtilde_lower_triangle(params, n)
-                else:
-                    table, weights = jacobidiff._oracle_table(params, n - 1)
-                    dtilde = ((table * weights) @ table.T).astype(float)
+            elif source == "recurrence":
+                dtilde = dtilde_lower_triangle(params, n)
                 lower_packed = kvec[rows] * kvec[cols] * dtilde[rows, cols]
+            else:  # the Gram of the orthonormal rows
+                table, weights = jacobidiff._oracle_table(params, n - 1)
+                lower_packed = ((table * weights) @ table.T).astype(float)[rows, cols]
             dense = np.zeros((n, n))
             dense[rows, cols] = lower_packed
             dense = dense - dense.T

@@ -1,5 +1,6 @@
 """Unit tests for the special-function layer."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -545,6 +546,16 @@ class TestHyperPfq:
             hyper_pfq_at([1.0], [-2.0], 0.5)
         with pytest.raises(DomainError):
             hyper_pfq_at([1.0], [0.0], 0.5)
+
+
+class TestSumSeries:
+    def test_non_converging_series_raises(self):
+        with pytest.raises(ConvergenceError):
+            specfun._sum_series(itertools.repeat(1.0))
+
+    def test_terminating_pfq_is_its_polynomial(self):
+        # 1F1(-2; 2; z) = 1 - z + z^2 / 6
+        assert hyper_pfq_at([-2.0], [2.0], 0.5) == pytest.approx(1.0 - 0.5 + 0.25 / 6.0, rel=1e-15)
 
 
 class TestJacobiParams:
