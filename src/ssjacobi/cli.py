@@ -184,8 +184,7 @@ def cmd_verify(config: RunConfig) -> int:
 
     # The largest relative gap between the direct and hypergeometric sums.
     try:
-        gaps = [abs(d - h) / max(abs(d), abs(h), 1e-300)
-                for d, h in zip(*jacobidiff._boundedness_routes(params))]
+        gaps = [jacobidiff._relative_gap(d, h) for d, h in zip(*jacobidiff._boundedness_routes(params))]
         bound_err = max(gaps) if np.all(np.isfinite(gaps)) else float("inf")
     except Exception:
         bound_err = float("inf")

@@ -31,13 +31,13 @@ from .specfun import (
     DomainError,
     JacobiParams,
     _kappa_squares,
-    _orthonormal_rows,
+    _orthonormal_table,
     _sum_series,
     gauss_jacobi_rule,
     hyper_pfq_at,
     log_gamma,
 )
-from .semisep import ShiftedSolver, SkewGeneratorPair, scale
+from .semisep import ShiftedSolver, SkewGeneratorPair, _refuse_dense, scale
 
 __all__ = [
     "DiffMatrixBuild",
@@ -236,10 +236,7 @@ def _oracle_table(params: JacobiParams, nmax: int):
     a, b = params.alpha, params.beta
     rule = gauss_jacobi_rule(a - 1, b - 1, nmax + 1)
     x = rule.nodes
-    t, blocks = _orthonormal_rows(a, b, nmax, x, nmax + 1)
-    _, table = next(blocks)
-    table *= t[:, None]
-    return table, 0.5 * (a * (1 + x) - b * (1 - x)) * rule.weights
+    return _orthonormal_table(a, b, nmax, x), 0.5 * (a * (1 + x) - b * (1 - x)) * rule.weights
 
 
 def oracle_entry(params: JacobiParams, m: int, n: int) -> float:
@@ -301,6 +298,11 @@ def _boundedness_routes(params: JacobiParams):
     return direct, hyp
 
 
+def _relative_gap(direct: float, hyp: float) -> float:
+    """The gap between the two routes to one sum, relative to the larger."""
+    return abs(direct - hyp) / max(abs(direct), abs(hyp), 1e-300)
+
+
 def boundedness_sums(params: JacobiParams) -> tuple[float, float, float]:
     """The three infinite b-generator sums governing boundedness.
 
@@ -310,8 +312,7 @@ def boundedness_sums(params: JacobiParams) -> tuple[float, float, float]:
     """
     direct, hyp = _boundedness_routes(params)
     for name, dv, hv in zip(("b1.b1", "b1.b2", "b2.b2"), direct, hyp):
-        scale = max(abs(dv), abs(hv), 1e-300)
-        if abs(dv - hv) > 1e-8 * scale:
+        if _relative_gap(dv, hv) > 1e-8:
             raise InternalConsistencyError(
                 f"boundedness sum {name}: direct {dv!r} vs hypergeometric {hv!r}"
             )
@@ -383,6 +384,7 @@ def build(params: JacobiParams, n_size: int, source: str) -> DiffMatrixBuild:
         raise ValueError(f"unknown source {source!r}; expected one of {SOURCES}")
     if source == "generators":
         return DiffMatrixBuild(params=params, n=n_size, source=source, pair=generators(params, n_size))
+    _refuse_dense(n_size)
     if source == "closed_form":
         rows, cols = np.tril_indices(n_size, k=-1)
         lower = np.zeros((n_size, n_size))

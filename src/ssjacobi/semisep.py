@@ -108,10 +108,6 @@ class SemiSepGenerators:
         z = np.zeros((0, n))
         return SemiSepGenerators(n=n, a=z, b=z, c=c, d=z, e=z)
 
-    @staticmethod
-    def identity(n: int) -> "SemiSepGenerators":
-        return SemiSepGenerators.diagonal(np.ones(n))
-
     def entry(self, m: int, n: int) -> float:
         if not (0 <= m < self.n and 0 <= n < self.n):
             raise IndexError(f"index ({m}, {n}) out of range for size {self.n}")
@@ -127,12 +123,8 @@ class SemiSepGenerators:
         if v.shape != (self.n,):
             raise ValueError(f"vector length {v.shape} does not match size {self.n}")
         out = self.c * v
-        if self.rank:
-            suffix = _suffix(self.b * v)
-            prefix = _excl_prefix(self.e * v)
-            out = out + np.einsum("in,in->n", self.a, suffix)
-            out = out + np.einsum("in,in->n", self.d, prefix)
-        return out
+        out = out + np.einsum("in,in->n", self.a, _suffix(self.b * v))
+        return out + np.einsum("in,in->n", self.d, _excl_prefix(self.e * v))
 
     @property
     def blocks(self) -> tuple:
@@ -153,11 +145,10 @@ class SemiSepGenerators:
         for diag, k in zip(out, offsets):
             if k == 0:
                 diag[:] = self.c
-            elif self.rank and abs(k) < n:
-                if k > 0:
-                    diag[: n - k] = np.einsum("im,im->m", self.a[:, : n - k], self.b[:, k:])
-                else:
-                    diag[-k:] = np.einsum("im,im->m", self.d[:, -k:], self.e[:, : n + k])
+            elif 0 < k < n:
+                diag[: n - k] = np.einsum("im,im->m", self.a[:, : n - k], self.b[:, k:])
+            elif 0 < -k < n:
+                diag[-k:] = np.einsum("im,im->m", self.d[:, -k:], self.e[:, : n + k])
         return out
 
 
@@ -205,6 +196,12 @@ def _suffix(x: np.ndarray) -> np.ndarray:
     return _excl_prefix(x[..., ::-1])[..., ::-1]
 
 
+def _refuse_dense(n: int) -> None:
+    """Raise ValueError if an n x n dense form would exceed DENSE_CAP."""
+    if n > DENSE_CAP:
+        raise ValueError(f"size {n} exceeds dense cap {DENSE_CAP}")
+
+
 def dense_blocks(blocks: tuple) -> np.ndarray:
     """Dense form of the generator blocks (a, b, c, d, e): the strict upper
     triangle of a^T b, c on the diagonal and the strict lower triangle of
@@ -218,8 +215,7 @@ def dense_blocks(blocks: tuple) -> np.ndarray:
     """
     a, b, c, d, e = blocks
     n = c.shape[-1]
-    if n > DENSE_CAP:
-        raise ValueError(f"size {n} exceeds dense cap {DENSE_CAP}")
+    _refuse_dense(n)
     upper = np.arange(n)[:, None] < np.arange(n)
     dense = np.where(upper, np.swapaxes(a, -1, -2) @ b, np.swapaxes(d, -1, -2) @ e)
     dense = dense.astype(c.dtype, copy=False)  # the diagonal's dtype, as np.diag(c)
@@ -234,7 +230,6 @@ def _product_upper(A: tuple, B: tuple):
     that the two share."""
     aA, bA, cA, dA, eA = A
     aB, bB, cB, dB, eB = B
-    ra, rb = aA.shape[-2], aB.shape[-2]
 
     # Pairwise cross sums, shape (..., ra, rb, n).
     pe = _excl_prefix(eA[..., :, None, :] * aB[..., None, :, :])    # sum_{k<m} eA_k aB_k
@@ -243,30 +238,16 @@ def _product_upper(A: tuple, B: tuple):
     bs = _suffix(bA[..., :, None, :] * dB[..., None, :, :])          # sum_{k>m} bA_k dB_k
 
     # rb pairs (u_j, bB_j), then ra pairs (aA_i, v_i).
-    ups_a, ups_b = [], []
-    if rb:
-        u = cA[..., None, :] * aB
-        if ra:
-            u = u + np.einsum("...im,...ijm->...jm", dA, pe)
-            u = u - np.einsum("...im,...ijm->...jm", aA, bp_inc)
-        ups_a.append(u)
-        ups_b.append(bB)
-    if ra:
-        v = bA * cB[..., None, :]
-        if rb:
-            v = v + np.einsum("...jm,...ijm->...im", bB, bp)
-            v = v + np.einsum("...jm,...ijm->...im", eB, bs)
-        ups_a.append(aA)
-        ups_b.append(v)
-    empty = np.zeros(cA.shape[:-1] + (0, cA.shape[-1]))
-    a_out = np.concatenate(ups_a, axis=-2) if ups_a else empty
-    b_out = np.concatenate(ups_b, axis=-2) if ups_b else empty
-
-    c_out = cA * cB
-    if ra and rb:
-        c_out = c_out + np.einsum("...im,...jm,...ijm->...m", dA, bB, pe)
-        c_out = c_out + np.einsum("...im,...jm,...ijm->...m", aA, eB, bs)
-    return a_out, b_out, c_out
+    u = cA[..., None, :] * aB
+    u = u + np.einsum("...im,...ijm->...jm", dA, pe)
+    u = u - np.einsum("...im,...ijm->...jm", aA, bp_inc)
+    v = bA * cB[..., None, :]
+    v = v + np.einsum("...jm,...ijm->...im", bB, bp)
+    v = v + np.einsum("...jm,...ijm->...im", eB, bs)
+    c = cA * cB
+    c = c + np.einsum("...im,...jm,...ijm->...m", dA, bB, pe)
+    c = c + np.einsum("...im,...jm,...ijm->...m", aA, eB, bs)
+    return np.concatenate([u, aA], axis=-2), np.concatenate([bB, v], axis=-2), c
 
 
 def product_blocks(A: tuple, B: tuple) -> tuple:
@@ -309,11 +290,13 @@ class BandedMatrix:
 
     ``bands`` is LAPACK band storage, (p + q + 1, n) with
     bands[q + i - j, j] = A[i, j].  Construction factors it once with
-    partial pivoting (gbtrf) and raises ``SingularityError`` if the band is
-    singular.  If the factorization interchanged no rows, L is a unit lower
-    band with p subdiagonals and U an upper band with q superdiagonals
-    (there is no fill-in); ``piv`` is then None and each ``solve`` applies
-    the two bands as two BLAS banded triangular solves (tbsv).  Otherwise
+    partial pivoting (gbtrf).  It raises ``FloatingPointError``, naming
+    the first column, if the band storage is not finite, and
+    ``SingularityError`` if the band is singular.  If the factorization
+    interchanged no rows, L is a unit lower band with p subdiagonals and U
+    an upper band with q superdiagonals (there is no fill-in); ``piv`` is
+    then None and each ``solve`` applies the two bands as two BLAS banded
+    triangular solves (tbsv).  Otherwise
     ``lu`` and ``piv`` hold the gbtrf factor and each ``solve`` is one
     gbtrs.  Both apply the same factor with the same arithmetic.
     """
@@ -323,6 +306,9 @@ class BandedMatrix:
         if bands.ndim != 2 or bands.shape[0] != p + q + 1:
             raise ValueError(f"band storage must have {p + q + 1} rows, got shape {bands.shape}")
         self.n, self.p, self.q = bands.shape[1], p, q
+        finite = np.isfinite(bands).all(axis=0)
+        if not finite.all():
+            raise FloatingPointError(f"band storage is not finite in column {int(np.argmin(finite))}")
         ab = np.zeros((2 * p + q + 1, self.n))  # gbtrf needs p more rows for the fill-in
         ab[p:] = bands
         lu, piv, info = dgbtrf(ab, p, q)
@@ -371,8 +357,6 @@ def _annihilation_coeffs(gen: np.ndarray):
     r, n = gen.shape
     x = np.zeros((n, r))
     rows = np.arange(r, n)
-    if r == 0 or rows.size == 0:
-        return x
     # Local systems G @ x = rhs with G[i, j] = gen[i, m-1-j], rhs = gen[:, m].
     if r == 2:
         (g00, g10), (g01, g11), (h0, h1) = gen[:, 1:-1], gen[:, :-2], gen[:, 2:]
@@ -458,7 +442,7 @@ def reduce_to_banded(
 def _row_transform(row_coeffs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """T rhs for the unit lower-banded row transform T of the reduction."""
     out = rhs.copy()
-    for i in range(1, min(row_coeffs.shape[1], rhs.size - 1) + 1):
+    for i in range(1, row_coeffs.shape[1] + 1):
         out[i:] -= row_coeffs[i:, i - 1] * rhs[:-i]
     return out
 
@@ -476,13 +460,16 @@ class ShiftedSolver:
     ``residual(x, rhs)`` is an O(N) relative backward error of a
     solution; neither is computed unless asked for.
 
-    Raises ``SingularityError`` if the band is singular.
+    Raises ``FloatingPointError`` if the reduction overflows, and
+    ``SingularityError`` if the band is singular.
     """
 
     def __init__(self, g: SemiSepGenerators, shift: float):
         self.g = g
         self.shift = float(shift)
-        bands, self.row_coeffs, self.col_coeffs = reduce_to_banded(g, shift)
+        # An overflow in the reduction leaves inf or nan in the band, which BandedMatrix refuses.
+        with np.errstate(over="ignore", invalid="ignore"):
+            bands, self.row_coeffs, self.col_coeffs = reduce_to_banded(g, shift)
         self.band = BandedMatrix(bands, g.rank, g.rank)
 
     @property
@@ -499,7 +486,7 @@ class ShiftedSolver:
         # The band's solve is a new array, so the back-map x = C z runs in
         # place on it; every product reads z before any is subtracted from it.
         x = self.band.solve(_row_transform(self.row_coeffs, rhs))
-        terms = [self.col_coeffs[j:, j - 1] * x[j:] for j in range(1, min(r, n - 1) + 1)]
+        terms = [self.col_coeffs[j:, j - 1] * x[j:] for j in range(1, r + 1)]
         for j, term in enumerate(terms, 1):
             x[:-j] -= term
         return x
@@ -523,28 +510,13 @@ def solve_structured(
 
 def to_json(g: SemiSepGenerators) -> str:
     """Serialize to the shared JSON schema {n, rank, a, b, c, d, e}."""
-    payload = {
-        "n": g.n,
-        "rank": g.rank,
-        "a": g.a.tolist(),
-        "b": g.b.tolist(),
-        "c": g.c.tolist(),
-        "d": g.d.tolist(),
-        "e": g.e.tolist(),
-    }
-    return json.dumps(payload)
+    blocks = {key: block.tolist() for key, block in zip("abcde", g.blocks)}
+    return json.dumps({"n": g.n, "rank": g.rank, **blocks})
 
 
 def from_json(text: str) -> SemiSepGenerators:
     payload = json.loads(text)
     n = int(payload["n"])
     rank = int(payload["rank"])
-    blocks = {}
-    for key in ("a", "b", "d", "e"):
-        arr = np.asarray(payload[key], dtype=float).reshape(rank, n) if rank else np.zeros((0, n))
-        blocks[key] = arr
-    return SemiSepGenerators(
-        n=n, a=blocks["a"], b=blocks["b"],
-        c=np.asarray(payload["c"], dtype=float),
-        d=blocks["d"], e=blocks["e"],
-    )
+    a, b, d, e = (np.asarray(payload[k], dtype=float).reshape(rank, n) for k in "abde")
+    return SemiSepGenerators(n=n, a=a, b=b, c=np.asarray(payload["c"], dtype=float), d=d, e=e)

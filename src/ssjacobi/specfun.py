@@ -201,6 +201,14 @@ def _orthonormal_rows(alpha: float, beta: float, nmax: int, x: np.ndarray, rows=
     return t.astype(x.dtype), _orthonormal_blocks(g, a, x, p0, rows)
 
 
+def _orthonormal_table(alpha: float, beta: float, nmax: int, x: np.ndarray) -> np.ndarray:
+    """p_0 .. p_nmax at the points x: one block of the kernel, row n times t_n."""
+    t, blocks = _orthonormal_rows(alpha, beta, nmax, x, nmax + 1)
+    _, table = next(blocks)
+    table *= t[:, None]
+    return table
+
+
 def jacobi_table(alpha: float, beta: float, nmax: int, x: np.ndarray) -> np.ndarray:
     """All P_0 .. P_nmax at the points x, as an (nmax+1, len(x)) array.
 

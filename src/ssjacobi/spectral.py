@@ -19,7 +19,7 @@ import numpy as np
 
 from . import semisep
 from .jacobidiff import DiffMatrixBuild, InternalConsistencyError
-from .specfun import DomainError, JacobiParams, _orthonormal_rows, gauss_jacobi_rule
+from .specfun import DomainError, JacobiParams, _orthonormal_rows, _orthonormal_table, gauss_jacobi_rule
 
 __all__ = [
     "CoeffVector",
@@ -78,9 +78,7 @@ def wfun_table(params: JacobiParams, nmax: int, x) -> np.ndarray:
     Points must lie in [-1, 1]; the endpoint value is 0.
     """
     x = _domain_points(x)
-    t, blocks = _orthonormal_rows(params.alpha, params.beta, nmax, x, nmax + 1)
-    _, table = next(blocks)
-    return t[:, None] * table * _sqrt_weight(params, x)[None, :]
+    return _orthonormal_table(params.alpha, params.beta, nmax, x) * _sqrt_weight(params, x)[None, :]
 
 
 def _sample(f, nodes: np.ndarray) -> np.ndarray:

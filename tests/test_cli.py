@@ -55,6 +55,11 @@ class TestGen:
         assert capsys.readouterr().out == f"wrote {out}\n"
         assert semisep.from_json(out.read_text()).n == n
         assert run(["gen", "--n", str(n), "--out", str(tmp_path / "d.csv")]) == 2
+        # The dense routes refuse before they allocate their N x N arrays.
+        for source in ("closed_form", "recurrence", "quadrature_oracle"):
+            assert run(["gen", "--n", str(n), "--source", source,
+                        "--out", str(tmp_path / "d.csv")]) == 2
+        assert not (tmp_path / "d.csv").exists()
 
     def test_deterministic_output(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

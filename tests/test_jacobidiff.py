@@ -286,15 +286,15 @@ class TestOracle:
             return wrapper
 
         monkeypatch.setattr(jacobidiff, "gauss_jacobi_rule", counted(gauss_jacobi_rule))
-        monkeypatch.setattr(jacobidiff, "_orthonormal_rows", counted(specfun._orthonormal_rows))
+        monkeypatch.setattr(jacobidiff, "_orthonormal_table", counted(specfun._orthonormal_table))
         monkeypatch.setattr(jacobidiff, "kappa_vector", counted(kappa_vector))
         for module in (jacobidiff, specfun):
             monkeypatch.setattr(module, "jacobi_table", counted(jacobi_table), raising=False)
         oracle_matrix(P42, 12)
-        assert calls == ["gauss_jacobi_rule", "_orthonormal_rows"]
+        assert calls == ["gauss_jacobi_rule", "_orthonormal_table"]
         calls.clear()
         oracle_entry(P42, 5, 2)
-        assert calls == ["gauss_jacobi_rule", "_orthonormal_rows"]
+        assert calls == ["gauss_jacobi_rule", "_orthonormal_table"]
 
 
 class TestBoundednessSums:

@@ -75,9 +75,12 @@ class TestConstruction:
         assert g.rank == 0
         assert g.entry(1, 1) == 6.0
         assert g.entry(0, 2) == 0.0
+        expected = np.zeros((5, 3))
+        expected[2] = [5.0, 6.0, 7.0]
+        assert np.array_equal(g.diagonals([-3, -1, 0, 2, 4]), expected)
 
     def test_identity(self):
-        assert np.array_equal(SemiSepGenerators.identity(2).to_dense(), np.eye(2))
+        assert np.array_equal(SemiSepGenerators.diagonal(np.ones(2)).to_dense(), np.eye(2))
 
     def test_entry_law_matches_dense(self):
         rng = np.random.default_rng(3)
@@ -86,9 +89,15 @@ class TestConstruction:
         for m in range(6):
             for n in range(6):
                 assert g.entry(m, n) == pytest.approx(dense[m, n], abs=1e-15)
+        offsets = range(-7, 8)
+        for diag, k in zip(g.diagonals(offsets), offsets):
+            along = np.diagonal(dense, k)  # zero-padded at the rows it does not reach
+            expected = np.zeros(6)
+            expected[max(-k, 0) : max(-k, 0) + along.size] = along
+            assert np.abs(diag - expected).max() <= 1e-15
 
     def test_entry_out_of_range(self):
-        g = SemiSepGenerators.identity(3)
+        g = SemiSepGenerators.diagonal(np.ones(3))
         with pytest.raises(IndexError):
             g.entry(3, 0)
 
@@ -161,7 +170,7 @@ class TestMatvec:
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            SemiSepGenerators.identity(3).matvec(np.ones(4))
+            SemiSepGenerators.diagonal(np.ones(3)).matvec(np.ones(4))
 
 
 class TestScale:
@@ -213,19 +222,20 @@ class TestProduct:
     def test_identity_neutral(self):
         rng = np.random.default_rng(13)
         g = random_generators(12, 2, rng)
-        got = np.asarray(product(SemiSepGenerators.identity(12), g).to_dense(), dtype=float)
+        got = np.asarray(product(SemiSepGenerators.diagonal(np.ones(12)), g).to_dense(), dtype=float)
         assert np.abs(got - g.to_dense()).max() <= 1e-13
 
-    @pytest.mark.parametrize("ra,rb", [(1, 2), (2, 2), (3, 1), (2, 3)])
+    @pytest.mark.parametrize("ra,rb", [(1, 2), (2, 2), (3, 1), (2, 3), (0, 0), (0, 2), (2, 0)])
     def test_random_ranks_match_dense(self, ra, rb):
         rng = np.random.default_rng(100 + 10 * ra + rb)
-        ga = random_generators(30, ra, rng)
-        gb = random_generators(30, rb, rng)
-        dp = ga.to_dense() @ gb.to_dense()
-        prod = product(ga, gb)
-        assert prod.rank == ra + rb
-        got = np.asarray(prod.to_dense(), dtype=float)
-        assert np.abs(got - dp).max() <= 1e-12 * max(np.abs(dp).max(), 1.0)
+        for n in (30, 1, 2):
+            ga = random_generators(n, ra, rng)
+            gb = random_generators(n, rb, rng)
+            dp = ga.to_dense() @ gb.to_dense()
+            prod = product(ga, gb)
+            assert prod.rank == ra + rb
+            got = np.asarray(prod.to_dense(), dtype=float)
+            assert np.abs(got - dp).max() <= 1e-12 * max(np.abs(dp).max(), 1.0)
 
     def test_skew_square_structure(self):
         params = JacobiParams(2.0, 2.0)
@@ -375,6 +385,14 @@ class TestSolveStructured:
         g = SemiSepGenerators.diagonal([2.0, 4.0, 8.0])
         x = solve_structured(g, 0.0, np.array([2.0, 4.0, 8.0]))
         assert np.allclose(x, np.ones(3))
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_overflowing_reduction_raises(self, rank):
+        # The generators are finite, the entries of A (1e400) are not.
+        big = np.full((rank, 8), 1e200)
+        g = SemiSepGenerators(n=8, a=big, b=big, c=np.ones(8), d=big, e=big)
+        with pytest.raises(FloatingPointError, match="not finite in column 0"):
+            solve_structured(g, 1.0, np.ones(8))
 
     def test_diffusion_system_matches_dense(self):
         params = JacobiParams(2.0, 2.0)
@@ -675,6 +693,13 @@ class TestBandedMatrix:
             BandedMatrix(np.array([[1.0, 0.0, 2.0]]), 0, 0)
         assert info.value.pivot_index == 1
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_band_raises(self, bad):
+        bands = np.ones((3, 6))
+        bands[0, 4] = bands[2, 5] = bad
+        with pytest.raises(FloatingPointError, match="column 4"):
+            BandedMatrix(bands, 1, 1)
+
     def test_wrong_number_of_rows_raises(self):
         with pytest.raises(ValueError):
             BandedMatrix(np.ones((4, 6)), 2, 2)
@@ -711,11 +736,14 @@ class TestBandedMatrix:
 class TestJsonSerialization:
     def test_round_trip(self):
         rng = np.random.default_rng(20)
-        g = random_generators(9, 2, rng)
-        back = from_json(to_json(g))
-        assert np.array_equal(back.to_dense(), g.to_dense())
+        for rank in range(4):
+            for n in (1, 2, 9):
+                g = random_generators(n, rank, rng)
+                back = from_json(to_json(g))
+                assert back.rank == rank
+                assert all(map(np.array_equal, back.blocks, g.blocks))
 
     def test_schema_keys(self):
-        payload = json.loads(to_json(SemiSepGenerators.identity(3)))
+        payload = json.loads(to_json(SemiSepGenerators.diagonal(np.ones(3))))
         assert sorted(payload) == ["a", "b", "c", "d", "e", "n", "rank"]
         assert payload["n"] == 3 and payload["rank"] == 0
