@@ -2,7 +2,7 @@
 
 Four mutually validating construction routes:
 
-* ``closed_form``       -- per-entry Gamma-ratio formula, log-evaluated;
+* ``closed_form``       -- per-entry Gamma-ratio formula from exact ratios;
 * ``recurrence``        -- bilateral three-term recurrence marched column
                            by column from the explicit first column;
 * ``quadrature_oracle`` -- exact Gauss-Jacobi integration of the defining
@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
 from .specfun import (
     DomainError,
@@ -150,36 +149,28 @@ def dtilde_lower_triangle(params: JacobiParams, n_size: int) -> np.ndarray:
 # The orientation is part of the formulas.  For alpha, beta > 0 the
 # normative entry D[1, 0] = kappa_0 kappa_1 dtilde[1, 0], with
 #   dtilde[1, 0] = 2^(a+b-1) [G(a+1) G(b+2) + G(b+1) G(a+2)] / G(a+b+2),
-# is positive.  As written, the closed form at (1, 0) is pref (e^h + e^-h)
+# is positive.  As written, the closed form at (1, 0) is pref (r + 1/r) / 4
 # > 0, and the generators give b_1 . (-a_0) = (b1_1 a1_0 + b2_1 a2_0) / 4
 # > 0, a sum of products of positive magnitudes.  So both formulas carry
 # the normative orientation for every (alpha, beta).
 
 
 def _closed_form_lower(params: JacobiParams, m, n) -> np.ndarray:
-    """Closed-form values at lower-triangle indices m > n."""
-    a, b = params.alpha, params.beta
+    """Closed-form values at lower-triangle indices m > n, s = a + b:
+    sqrt((2m+s+1)(2n+s+1) rho_m / rho_n) (sqrt(tau_n / tau_m) - (-1)^(m-n) sqrt(tau_m / tau_n)) / 4,
+    rho_k = prod_{j<k} (j+1) / (j+s+1) and tau_k = prod_{j<k} (j+a+1) / (j+b+1)
+    (Gamma ratios whose seeds cancel), in longdouble, rounded to double
+    once.  At a = b, tau is 1 and the entries with m - n even are 0."""
+    a, b = np.longdouble(params.alpha), np.longdouble(params.beta)
     s = a + b
-    m = np.asarray(m, dtype=float)
-    n = np.asarray(n, dtype=float)
-    pref = np.exp(
-        -math.log(4.0)
-        + 0.5
-        * (
-            gammaln(m + 1)
-            - gammaln(n + 1)
-            + gammaln(n + s + 1)
-            - gammaln(m + s + 1)
-            + np.log(2 * m + s + 1)
-            + np.log(2 * n + s + 1)
-        )
-    )
-    half = 0.5 * (
-        gammaln(n + a + 1) + gammaln(m + b + 1)
-        - gammaln(m + a + 1) - gammaln(n + b + 1)
-    )
-    sign = np.where(np.asarray(m - n, dtype=int) % 2 == 0, 1.0, -1.0)
-    return pref * (np.exp(half) - sign * np.exp(-half))
+    m, n = np.asarray(m), np.asarray(n)
+    j = np.arange(m.max(initial=0), dtype=np.longdouble)
+    rho = np.cumprod(np.concatenate([[1], (j + 1) / (j + s + 1)]))
+    tau = np.cumprod(np.concatenate([[1], (j + a + 1) / (j + b + 1)]))
+    width = (2 * np.arange(len(rho), dtype=np.longdouble) + s + 1) / 4  # the 1/4 is exact
+    pref = np.sqrt(width[m] * width[n] * (rho[m] / rho[n]))
+    ratio = np.sqrt(tau[n] / tau[m])
+    return (pref * (ratio - np.where((m - n) % 2, -1, 1) / ratio)).astype(float)
 
 
 def d_entry_closed_form(params: JacobiParams, m: int, n: int) -> float:
@@ -188,28 +179,29 @@ def d_entry_closed_form(params: JacobiParams, m: int, n: int) -> float:
         raise DomainError("diagonal entries are zero and not covered here")
     if m < 0 or n < 0:
         raise DomainError("indices must be >= 0")
-    if m > n:
-        return float(_closed_form_lower(params, np.array([m]), np.array([n]))[0])
-    return float(-_closed_form_lower(params, np.array([n]), np.array([m]))[0])
+    return math.copysign(1, m - n) * float(_closed_form_lower(params, [max(m, n)], [min(m, n)])[0])
 
 
 def _generator_vectors(params: JacobiParams, n_size: int):
     """Rank-2 generator vectors (a, b) of the differentiation matrix.
 
-    The second a- and b-vectors are the magnitudes of the first ones with
-    alpha and beta swapped.
+    Their magnitudes are sqrt((2m+s+1) R_m) and sqrt((2m+s+1) / R_m), s = p + q,
+    R_m = G(m+q+1) G(m+s+1) / (G(m+1) G(m+p+1)), with (p, q) = (alpha, beta)
+    in the first vectors and (beta, alpha) in the second.  R is one longdouble
+    product of exact ratios from a math.lgamma seed, whose rounding cancels
+    in every a_m b_n; each magnitude is rounded to double once.
     """
-    m = np.arange(n_size, dtype=float)
+    m = np.arange(n_size, dtype=np.longdouble)
     alt = np.where(np.arange(n_size) % 2 == 0, 1.0, -1.0)
-    lg_m = 0.5 * gammaln(m + 1)
 
     def magnitudes(p, q):
-        s = p + q
-        log_2m = np.log(2 * m + s + 1)
+        p, q = np.longdouble(p), np.longdouble(q)
+        s, k = p + q, m[:-1]
+        width = 2 * m + s + 1
         with np.errstate(over="ignore"):  # SkewGeneratorPair raises on non-finite entries
-            a_mag = np.exp(-lg_m + 0.5 * (log_2m + gammaln(m + q + 1) + gammaln(m + s + 1) - gammaln(m + p + 1)))
-            b_mag = np.exp(lg_m + 0.5 * (log_2m + gammaln(m + p + 1) - gammaln(m + q + 1) - gammaln(m + s + 1)))
-        return a_mag, b_mag
+            seed = np.exp(np.longdouble(math.lgamma(q + 1) + math.lgamma(s + 1) - math.lgamma(p + 1)))
+            r = np.cumprod(np.concatenate([[seed], (k + q + 1) * (k + s + 1) / ((k + 1) * (k + p + 1))]))
+            return np.sqrt(width * r).astype(float), np.sqrt(width / r).astype(float)
 
     a1, b1 = magnitudes(params.alpha, params.beta)
     a2, b2 = magnitudes(params.beta, params.alpha)

@@ -118,13 +118,17 @@ class SemiSepGenerators:
         return float(self.d[:, m] @ self.e[:, n])
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        """A @ v in O(N r) via suffix sums of b*v and prefix sums of e*v."""
+        """A @ v in O(N r) via suffix sums of b*v and prefix sums of e*v.
+        Raises ``FloatingPointError`` if the result is not finite."""
         v = np.asarray(v, dtype=float)
         if v.shape != (self.n,):
             raise ValueError(f"vector length {v.shape} does not match size {self.n}")
-        out = self.c * v
-        out = out + np.einsum("in,in->n", self.a, _suffix(self.b * v))
-        return out + np.einsum("in,in->n", self.d, _excl_prefix(self.e * v))
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            out = self.c * v + np.einsum("in,in->n", self.a, _suffix(self.b * v))
+            out = out + np.einsum("in,in->n", self.d, _excl_prefix(self.e * v))
+        if not np.isfinite(out).all():
+            raise FloatingPointError("matvec result is not finite")
+        return out
 
     @property
     def blocks(self) -> tuple:
@@ -509,7 +513,12 @@ def solve_structured(
 
 
 def to_json(g: SemiSepGenerators) -> str:
-    """Serialize to the shared JSON schema {n, rank, a, b, c, d, e}."""
+    """Serialize to the shared JSON schema {n, rank, a, b, c, d, e}.  Raises
+    ValueError, naming the dtype, on blocks that are not double, such as
+    the longdouble blocks that ``product`` returns."""
+    for block in g.blocks:
+        if block.dtype != np.float64:
+            raise ValueError(f"to_json writes double generator blocks, not {block.dtype}")
     blocks = {key: block.tolist() for key, block in zip("abcde", g.blocks)}
     return json.dumps({"n": g.n, "rank": g.rank, **blocks})
 

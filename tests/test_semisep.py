@@ -172,6 +172,14 @@ class TestMatvec:
         with pytest.raises(ValueError):
             SemiSepGenerators.diagonal(np.ones(3)).matvec(np.ones(4))
 
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_overflowing_result_raises(self, rank):
+        # The generators are finite, the entries of A (1e400) are not.
+        big = np.full((rank, 8), 1e200)
+        g = SemiSepGenerators(n=8, a=big, b=big, c=np.ones(8), d=big, e=-big)
+        with pytest.raises(FloatingPointError, match="not finite"):
+            g.matvec(np.ones(8))
+
 
 class TestScale:
     @pytest.mark.parametrize("s", [-1.0, 0.37, -2.5e3])
@@ -742,6 +750,11 @@ class TestJsonSerialization:
                 back = from_json(to_json(g))
                 assert back.rank == rank
                 assert all(map(np.array_equal, back.blocks, g.blocks))
+
+    def test_refuses_longdouble_blocks(self):
+        g = jacobidiff.generators(JacobiParams(2.0, 2.0), 8)
+        with pytest.raises(ValueError, match=str(np.dtype(np.longdouble))):
+            to_json(product(g, g))
 
     def test_schema_keys(self):
         payload = json.loads(to_json(SemiSepGenerators.diagonal(np.ones(3))))

@@ -245,9 +245,8 @@ class TestWeightMass:
 
     @pytest.mark.parametrize("alpha", GRID)
     def test_against_mpmath(self, alpha):
-        # 9.2e-16 at worst (alpha or beta = 0.001 against 300, where 1.001
-        # is rounded); a sum of double log-gammas was off by 1.9e-13 at
-        # (100, 150).
+        # 6.7e-16 at worst; a sum of double log-gammas was off by 1.9e-13
+        # at (100, 150), and scipy.special.beta for B(a0, b0) by 9.2e-16.
         mpmath.mp.dps = 50
         for beta in self.GRID + [-0.9, -0.5, 0.0]:
             a, b = mpmath.mpf(alpha), mpmath.mpf(beta)
@@ -255,6 +254,16 @@ class TestWeightMass:
             assert abs(mpmath.mpf(jacobi_weight_mass(alpha, beta)) / ref - 1) <= 1e-15
             ref = 2 ** (a + b + 1) * mpmath.beta(b + 1, a + 1)
             assert abs(mpmath.mpf(jacobi_weight_mass(beta, alpha)) / ref - 1) <= 1e-15
+
+    def test_random_grid_against_mpmath(self):
+        # 1.25e-15 at worst, at (220.7, 70.7): math.gamma for B(a0, b0) is
+        # a few ulp off; scipy.special.beta read 6.0e-16 on this grid.
+        mpmath.mp.dps = 50
+        rng = np.random.default_rng(2026)
+        for alpha, beta in -1 + 301 * (1 - rng.random((1600, 2))):  # in (-1, 300]
+            a, b = mpmath.mpf(alpha), mpmath.mpf(beta)
+            ref = 2 ** (a + b + 1) * mpmath.beta(a + 1, b + 1)
+            assert abs(mpmath.mpf(jacobi_weight_mass(alpha, beta)) / ref - 1) <= 1.5e-15
 
     def test_shifted_weights_of_the_oracle(self):
         mpmath.mp.dps = 50
@@ -328,7 +337,7 @@ class TestGaussJacobiRule:
         # Nodes: within 1e-18 of the 50-digit roots (the x87 longdouble
         # floor is about 5e-20; where longdouble is double, 8 ulp of it).
         # Weights: relative 1e-15, about the error of jacobi_weight_mass,
-        # which scales every weight alike (at most 5.1e-16 was measured).
+        # which scales every weight alike (at most 1.5e-16 was measured).
         mpmath.mp.dps = 50
         node_tol = max(1e-18, 8 * float(np.finfo(np.longdouble).eps))
         a, b = mpmath.mpf(alpha), mpmath.mpf(beta)
