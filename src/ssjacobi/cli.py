@@ -11,6 +11,7 @@ import argparse
 import csv
 import functools
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -53,8 +54,8 @@ class RunConfig:
     def __post_init__(self):
         if self.n < 1:
             raise DomainError(f"n must be >= 1, got {self.n}")
-        if self.dt <= 0:
-            raise DomainError(f"dt must be > 0, got {self.dt!r}")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise DomainError(f"dt must be finite and > 0, got {self.dt!r}")
         if self.steps < 0:
             raise DomainError(f"steps must be >= 0, got {self.steps}")
         JacobiParams(self.alpha, self.beta)  # raises DomainError unless alpha, beta > 0

@@ -20,11 +20,13 @@ with that orientation, so D[1, 0] > 0 on every route (see
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import lu_factor, lu_solve
 
 from .specfun import (
     DomainError,
@@ -36,7 +38,7 @@ from .specfun import (
     hyper_pfq_at,
     log_gamma,
 )
-from .semisep import ShiftedSolver, SkewGeneratorPair, _refuse_dense, scale
+from .semisep import ShiftedSolver, SkewGeneratorPair, _refuse_dense, _skew_reduction
 
 __all__ = [
     "DiffMatrixBuild",
@@ -311,8 +313,8 @@ def boundedness_sums(params: JacobiParams) -> tuple[float, float, float]:
     return direct
 
 
-# A generator build keeps the factors of this many shifts: the three that
-# the two steppers use at one dt (+-sqrt(dt) and -dt/2), plus one.
+# A build keeps the factors of this many shifts: the three that the two
+# steppers use at one dt (+-sqrt(dt) and -dt/2), plus one.
 _FACTOR_CACHE_SIZE = 4
 
 
@@ -324,10 +326,9 @@ class DiffMatrixBuild:
     route stores the rank-2 skew ``pair``, which is its generator form.
     Both implement the two operations the steppers need, ``matvec`` and
     ``solve_shifted``: in O(N) through the generators, densely otherwise.
-    A generator build factors I + s D once per shift s and keeps the
-    factors of the last few shifts, so repeated steps at one dt only
-    solve.  A dense build caches nothing: each of its solves is one
-    ``numpy.linalg.solve``.
+    A build factors I + s D once per shift s, with ``lu_factor`` or from
+    the pair's one reduction C^T (I + s D) C = B0 + s B1, and keeps the
+    factors of the last few shifts, so repeated steps at one dt only solve.
     """
 
     params: JacobiParams
@@ -353,19 +354,24 @@ class DiffMatrixBuild:
     def solve_shifted(self, s: float, rhs: np.ndarray) -> np.ndarray:
         """The solution x of (I + s D) x = rhs.
 
-        Raises ``semisep.SingularityError`` (generators) or
-        ``numpy.linalg.LinAlgError`` (dense) if the system is singular.
+        Raises ``DomainError`` if s is not finite, and
+        ``semisep.SingularityError`` if a band factor finds it singular.
         """
-        if self.pair is None:
-            return np.linalg.solve(np.eye(self.n) + s * self.matrix, rhs)
         s = float(s)
+        if not math.isfinite(s):
+            raise DomainError(f"shift must be finite, got {s!r}")
         factors = self._cache.setdefault("factors", {})
         if s not in factors:
-            solver = ShiftedSolver(scale(self.pair, s), 1.0)
+            if self.pair is None:
+                factor = functools.partial(lu_solve, lu_factor(np.eye(self.n) + s * self.matrix))
+            else:
+                if "reduction" not in self._cache:
+                    self._cache["reduction"] = _skew_reduction(self.pair)
+                factor = ShiftedSolver._of_skew(self.pair, s, self._cache["reduction"]).solve
             if len(factors) >= _FACTOR_CACHE_SIZE:
                 del factors[next(iter(factors))]  # the oldest
-            factors[s] = solver
-        return factors[s].solve(rhs)
+            factors[s] = factor
+        return factors[s](rhs)
 
 
 def build(params: JacobiParams, n_size: int, source: str) -> DiffMatrixBuild:

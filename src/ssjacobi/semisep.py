@@ -171,6 +171,7 @@ class SkewGeneratorPair(SemiSepGenerators):
         if a.shape != b.shape:
             raise ValueError("skew generator blocks must share a shape")
         super().__init__(n=n, a=a, b=b, c=np.zeros(n), d=b, e=-a)
+        object.__setattr__(self, "d", self.b)  # b itself, which reduce_to_banded tests for
         for block in self.blocks:
             block.flags.writeable = False
 
@@ -313,9 +314,9 @@ class BandedMatrix:
         finite = np.isfinite(bands).all(axis=0)
         if not finite.all():
             raise FloatingPointError(f"band storage is not finite in column {int(np.argmin(finite))}")
-        ab = np.zeros((2 * p + q + 1, self.n))  # gbtrf needs p more rows for the fill-in
+        ab = np.zeros((2 * p + q + 1, self.n), order="F")  # p more rows for the fill-in
         ab[p:] = bands
-        lu, piv, info = dgbtrf(ab, p, q)
+        lu, piv, info = dgbtrf(ab, p, q, overwrite_ab=1)  # in place: ab is Fortran double
         if info > 0:
             raise SingularityError("singular banded factor", info - 1)
         if (piv == np.arange(self.n)).all() and not lu[:p].any():
@@ -418,11 +419,11 @@ def reduce_to_banded(
     bands[r + i - j, j] = B[i, j], and the (n, r) row and column
     coefficients, T[m, m-i] = -row_coeffs[m, i-1] and
     C[k-j, k] = -col_coeffs[k, j-1]: (shift*I + A) x = rhs is then
-    B z = T rhs with x = C z.
+    B z = T rhs with x = C z.  If d is b, row_coeffs is col_coeffs: T = C^T.
     """
     n, r = g.n, g.rank
     x = _annihilation_coeffs(g.b)                # (n, r), zero for k < r
-    y = _annihilation_coeffs(g.d)                # (n, r), zero for m < r
+    y = x if g.d is g.b else _annihilation_coeffs(g.d)  # a skew pair's T is C^T
     # Rows of C and T, zero-padded by r on both sides so that every shift
     # below is a plain slice: cx[j, r+k] = C[k-j, k], ty[i, r+m] = T[m, m-i].
     cx = np.zeros((r + 1, n + 2 * r))
@@ -459,6 +460,9 @@ class ShiftedSolver:
     Each ``solve`` is then the row transform of rhs, the band's solve and
     the column back-map, in O(N r).
 
+    For a skew pair A, C^T (I + sA) C = B0 + s B1 for every s: ``_of_skew``
+    factors I + sA from the pair's one ``_skew_reduction`` with a band axpy.
+
     ``growth`` is the largest |annihilation coefficient| of the
     reduction: the factor by which elimination can amplify entries.
     ``residual(x, rhs)`` is an O(N) relative backward error of a
@@ -469,12 +473,23 @@ class ShiftedSolver:
     """
 
     def __init__(self, g: SemiSepGenerators, shift: float):
-        self.g = g
-        self.shift = float(shift)
+        self.g, self.shift, self._weight = g, float(shift), 1.0
         # An overflow in the reduction leaves inf or nan in the band, which BandedMatrix refuses.
         with np.errstate(over="ignore", invalid="ignore"):
             bands, self.row_coeffs, self.col_coeffs = reduce_to_banded(g, shift)
         self.band = BandedMatrix(bands, g.rank, g.rank)
+
+    @classmethod
+    def _of_skew(cls, pair: SkewGeneratorPair, s: float, reduction: tuple) -> "ShiftedSolver":
+        """(I + s A) x = rhs for the skew pair A, from its ``_skew_reduction``
+        (B0, B1, x): ``shift`` is 1, and ``residual`` weighs the pair by s."""
+        b0, b1, x = reduction
+        solver = cls.__new__(cls)
+        solver.g, solver.shift, solver._weight = pair, 1.0, float(s)
+        solver.row_coeffs = solver.col_coeffs = x
+        with np.errstate(over="ignore", invalid="ignore"):
+            solver.band = BandedMatrix(b0 + s * b1, pair.rank, pair.rank)
+        return solver
 
     @property
     def growth(self) -> float:
@@ -499,10 +514,26 @@ class ShiftedSolver:
         """||M x - rhs|| / (|shift| ||x|| + ||A x|| + ||rhs||), M = shift*I + A."""
         x = np.asarray(x, dtype=float)
         rhs = np.asarray(rhs, dtype=float)
-        ax = self.g.matvec(x)
+        ax = self._weight * self.g.matvec(x)
         denom = abs(self.shift) * np.linalg.norm(x) + np.linalg.norm(ax) + np.linalg.norm(rhs)
         resid = np.linalg.norm(self.shift * x + ax - rhs)
         return float(resid / denom) if denom else 0.0
+
+
+def _skew_reduction(pair: SkewGeneratorPair) -> tuple:
+    """The bands B0 of C^T C and B1 of C^T A C of the skew pair A, and the
+    coefficients x of C, as ``reduce_to_banded`` at shift 0 stores them.
+    B0 is formed from x, not as a difference, and is exactly symmetric."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        b1, _, x = reduce_to_banded(pair, 0.0)
+    n, r = x.shape
+    cx = np.vstack([np.ones(n), -x.T])            # cx[j, k] = C[k-j, k]
+    b0 = np.zeros_like(b1)                        # b0[r-p, k] = B0[k-p, k]
+    for p in range(min(r, n - 1) + 1):
+        for j in range(r + 1 - p):
+            b0[r - p, p:] += cx[j, : n - p] * cx[j + p, p:]
+        b0[r + p, : n - p] = b0[r - p, p:]
+    return b0, b1, x
 
 
 def solve_structured(

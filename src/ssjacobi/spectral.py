@@ -204,8 +204,8 @@ def step_diffusion(build: DiffMatrixBuild, u: CoeffVector, dt: float) -> CoeffVe
     banded reduction than one solve on the rank-4 product generators.
     """
     _check_match(build, u)
-    if dt <= 0:
-        raise DomainError(f"dt must be > 0, got {dt!r}")
+    if not (math.isfinite(dt) and dt > 0):
+        raise DomainError(f"dt must be finite and > 0, got {dt!r}")
     root = math.sqrt(dt)
     try:
         mid = build.solve_shifted(root, u.coeffs)
@@ -230,8 +230,8 @@ def step_advection_cayley(build: DiffMatrixBuild, u: CoeffVector, dt: float) -> 
     matvec, so hD u, which can be far larger than u, is never formed.
     """
     _check_match(build, u)
-    if dt <= 0:
-        raise DomainError(f"dt must be > 0, got {dt!r}")
+    if not (math.isfinite(dt) and dt > 0):
+        raise DomainError(f"dt must be finite and > 0, got {dt!r}")
     try:
         solved = build.solve_shifted(-dt / 2.0, u.coeffs)
     except semisep.SingularityError as exc:  # pragma: no cover

@@ -374,6 +374,8 @@ class TestDemo:
         [
             ["demo", "diffusion", "--dt", "0"],
             ["demo", "advection", "--steps", "-1"],
+            ["demo", "diffusion", "--dt", "nan"],
+            ["demo", "advection", "--dt", "inf"],
         ],
     )
     def test_invalid_configuration(self, argv, tmp_path, capsys):

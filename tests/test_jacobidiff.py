@@ -2,10 +2,12 @@
 
 import csv
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
+from scipy.linalg import lu_factor, lu_solve
 
 from ssjacobi import jacobidiff, semisep, specfun
 from ssjacobi.jacobidiff import (
@@ -437,7 +439,9 @@ class TestBuild:
     def test_bit_identical_to_packed_and_expanded_forms(self, source, n, params):
         """Every route gives, bit for bit, what it gave when dense routes
         stored a packed lower triangle and the skew pair was expanded into
-        a separate SemiSepGenerators with d a copy of b."""
+        a separate SemiSepGenerators with d a copy of b.  A dense solve is
+        one lu_factor and lu_solve; a generator solve, whose band is
+        B0 + s B1, agrees with a fresh reduction to 2e-14."""
         rows, cols = np.tril_indices(n, k=-1)
         kvec = kappa_vector(params, n - 1)
         if source == "generators":
@@ -464,13 +468,17 @@ class TestBuild:
                 return dense @ v
 
             def solve(s, v):
-                return np.linalg.solve(np.eye(n) + s * dense, v)
+                return lu_solve(lu_factor(np.eye(n) + s * dense), v)
         built = build(params, n, source)
         v = np.random.default_rng(n).standard_normal(n)
         assert np.array_equal(built.dense(), dense)
         assert np.array_equal(built.matvec(v), matvec(v))
         for s in (0.1, -0.1):
-            assert np.array_equal(built.solve_shifted(s, v), solve(s, v))
+            got, ref = built.solve_shifted(s, v), solve(s, v)
+            if source == "generators":
+                assert np.abs(got - ref).max() <= 2e-14 * np.abs(ref).max()
+            else:
+                assert np.array_equal(got, ref)
 
     @pytest.mark.parametrize("source", SOURCES)
     @pytest.mark.parametrize("n", [1, 2, 24])
@@ -502,7 +510,23 @@ class TestFactorCache:
         assert np.array_equal(b.solve_shifted(0.1, v), first)
         b.solve_shifted(-0.1, v)
         b.solve_shifted(0.1, v)
-        assert len(calls) == 2
+        assert calls == [0.0]  # one reduction serves every shift
+
+    def test_one_reduction_per_build(self, monkeypatch):
+        calls = {"reduce_to_banded": 0, "_annihilation_coeffs": 0}
+        for name in calls:
+            original = getattr(semisep, name)
+
+            def counting(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(semisep, name, counting)
+        b = build(P42, 64, "generators")
+        v = np.ones(64)
+        for s in (0.1, -0.1, -5e-3, 0.37, 0.2, 0.1, -0.1):
+            b.solve_shifted(s, v)
+        assert calls == {"reduce_to_banded": 1, "_annihilation_coeffs": 1}
 
     def test_cache_stays_bounded(self):
         b = build(P42, 16, "generators")
@@ -522,20 +546,49 @@ class TestFactorCache:
         for s in (0.1, 0.2, 0.3, 0.4):
             b.solve_shifted(s, v)
 
-        def singular(g, shift):
+        def singular(bands, p, q):
             raise semisep.SingularityError("singular banded factor", 0)
 
-        monkeypatch.setattr(jacobidiff, "ShiftedSolver", singular)
+        monkeypatch.setattr(semisep, "BandedMatrix", singular)
         with pytest.raises(semisep.SingularityError):
             b.solve_shifted(0.5, v)
         assert list(b._cache["factors"]) == [0.1, 0.2, 0.3, 0.4]
 
-    def test_dense_routes_cache_nothing(self):
+    def test_dense_routes_cache_a_bounded_lu(self):
         b = build(P42, 16, "closed_form")
-        v = np.ones(16)
+        v = np.random.default_rng(5).standard_normal(16)
         b.matvec(v)
-        b.solve_shifted(0.1, v)
         assert b._cache == {}
+        shifts = [0.01 * (k + 1) for k in range(6)]
+        for s in shifts + shifts[-2:]:
+            ref = lu_solve(lu_factor(np.eye(16) + s * b.matrix), v)
+            assert np.array_equal(b.solve_shifted(s, v), ref)
+            assert len(b._cache["factors"]) <= 4
+        assert list(b._cache["factors"]) == shifts[-4:]
+
+    @pytest.mark.parametrize("source", ["generators", "closed_form"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_shift_raises_before_caching(self, source, bad):
+        b = build(P42, 8, source)
+        with pytest.raises(DomainError, match="finite"):
+            b.solve_shifted(bad, np.ones(8))
+        assert b._cache == {}
+
+    def test_stepper_shifts_hold_little_memory(self):
+        # The steppers' shifts at N = 16384, dt = 1e-3: +-sqrt(dt) and -dt/2.
+        # Each keeps a 6N band factor and shares the build's reduction
+        # (x, B0, B1: 12N), 30N or 3.75 MiB in all; a reduction per shift,
+        # with its own scaled generators, would hold 45N (5.63 MiB).
+        b = build(P22, 16384, "generators")
+        v = np.random.default_rng(8).standard_normal(16384)
+        tracemalloc.start()
+        try:
+            for s in (math.sqrt(1e-3), -math.sqrt(1e-3), -5e-4):
+                b.solve_shifted(s, v)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held <= 4.5 * 2**20 and peak <= 6.5 * 2**20
 
     def test_pair_cannot_be_written_in_place(self):
         b = build(P22, 8, "generators")

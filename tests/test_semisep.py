@@ -619,6 +619,71 @@ class TestShiftedSolver:
             ShiftedSolver(SemiSepGenerators.diagonal(np.zeros(3)), 0.0)
 
 
+class TestSkewReduction:
+    """The congruence C^T (I + sD) C = B0 + s B1 of a skew pair D."""
+
+    PARAMS = [(a, b) for a in (0.5, 2.0, 12.0) for b in (0.5, 2.0, 12.0)]
+    SHIFTS = (0.01, -0.01, 0.37, -5e-4)
+
+    @staticmethod
+    def transpose_band(bands, r):
+        """Band storage of B^T from that of B: B^T[i, j] = B[j, i]."""
+        out = np.zeros_like(bands)
+        n = bands.shape[1]
+        for p in range(-r, r + 1):  # bands[r - p, k] = B[k - p, k] = B^T[k, k - p]
+            lo, hi = max(p, 0), n + min(p, 0)
+            out[r + p, lo - p : hi - p] = bands[r - p, lo:hi]
+        return out
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 64, 1024])
+    @pytest.mark.parametrize("alpha,beta", PARAMS)
+    def test_bands_match_a_fresh_reduction(self, alpha, beta, n):
+        g = jacobidiff.generators(JacobiParams(alpha, beta), n)
+        b0, b1, x = semisep._skew_reduction(g)
+        assert np.array_equal(b0, self.transpose_band(b0, 2))  # exactly symmetric
+        for s in self.SHIFTS:
+            fresh, row_coeffs, col_coeffs = reduce_to_banded(scale(g, s), 1.0)
+            band = b0 + s * b1
+            assert np.array_equal(col_coeffs, x)
+            assert np.abs(band - fresh).max() <= 1e-14 * np.abs(fresh).max()
+            flipped = self.transpose_band(b0 - s * b1, 2)
+            assert np.abs(flipped - band).max() <= 1e-15 * np.abs(band).max()
+
+    def test_pair_reuses_its_column_coefficients(self, monkeypatch):
+        g = jacobidiff.generators(JacobiParams(4.0, 2.0), 40)
+        copied = SemiSepGenerators(g.n, g.a, g.b, g.c, g.b.copy(), g.e)
+        calls = []
+        original = semisep._annihilation_coeffs
+        monkeypatch.setattr(semisep, "_annihilation_coeffs", lambda gen: calls.append(gen) or original(gen))
+        bands, row_coeffs, col_coeffs = reduce_to_banded(g, 0.3)
+        assert len(calls) == 1 and row_coeffs is col_coeffs
+        ref = reduce_to_banded(copied, 0.3)
+        assert len(calls) == 3
+        assert all(map(np.array_equal, (bands, row_coeffs, col_coeffs), ref))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 64])
+    @pytest.mark.parametrize("alpha,beta", PARAMS)
+    def test_zero_shift_returns_rhs(self, alpha, beta, n):
+        g = jacobidiff.generators(JacobiParams(alpha, beta), n)
+        rhs = np.random.default_rng(n).standard_normal(n)
+        x = ShiftedSolver._of_skew(g, 0.0, semisep._skew_reduction(g)).solve(rhs)
+        assert np.abs(x - rhs).max() <= 1e-14 * np.abs(rhs).max()
+
+    @pytest.mark.parametrize("alpha,beta", [(2.0, 2.0), (0.5, 12.0)])
+    def test_solver_matches_the_scaled_one(self, alpha, beta):
+        g = jacobidiff.generators(JacobiParams(alpha, beta), 1024)
+        reduction = semisep._skew_reduction(g)
+        rhs = np.random.default_rng(7).standard_normal(1024)
+        for s in (0.1, -0.1, -5e-3, 0.37):
+            ref = ShiftedSolver(scale(g, s), 1.0)
+            solver = ShiftedSolver._of_skew(g, s, reduction)
+            x = solver.solve(rhs)
+            assert solver.g is g and solver.col_coeffs is reduction[2]
+            assert np.abs(x - ref.solve(rhs)).max() <= 2e-14 * np.abs(x).max()
+            assert solver.growth == pytest.approx(ref.growth, rel=1e-15)
+            assert solver.residual(x, rhs) <= 1e-13
+
+
 class TestAnnihilationCoeffs:
     @staticmethod
     def batched(gen, n, r):
@@ -729,6 +794,25 @@ class TestBandedMatrix:
         assert np.array_equal(rhs, kept)
         assert np.array_equal(x, dgbtrs(lu, p, q, rhs, piv)[0])
         assert np.allclose(x, np.linalg.solve(dense, rhs))
+
+    @pytest.mark.parametrize("pivoting", [False, True])
+    @pytest.mark.parametrize("p,q", [(1, 1), (2, 2), (2, 1), (1, 3)])
+    def test_in_place_factor_matches_the_copying_one(self, p, q, pivoting):
+        rng = np.random.default_rng(100 * p + 10 * q + pivoting)
+        dense = self.banded_dense(rng, 50, p, q) - 5 * np.eye(50)
+        if not pivoting:
+            dense += np.diag(np.abs(dense).sum(axis=0))  # column dominant: no interchanges
+        bands = dense_to_band(dense, p, q)
+        banded = BandedMatrix(bands, p, q)
+        ab = np.zeros((2 * p + q + 1, 50))  # C order: dgbtrf factors a copy
+        ab[p:] = bands
+        lu, piv, _ = dgbtrf(ab, p, q)
+        assert (banded.piv is not None) == pivoting == (not np.array_equal(piv, np.arange(50)))
+        if pivoting:
+            assert np.array_equal(banded.lu, lu) and np.array_equal(banded.piv, piv)
+        else:
+            assert np.array_equal(banded._lower, lu[p + q :])
+            assert np.array_equal(banded._upper, lu[p : p + q + 1])
 
     def test_wrong_rhs_length_raises(self):
         pivoting = np.array([[1e-3, 1.0, 0.0], [1.0, 1e-3, 1.0], [0.0, 1.0, 1e-3]])

@@ -423,6 +423,13 @@ class TestDiffusionStepper:
         with pytest.raises(DomainError):
             step_diffusion(b, u, 0.0)
 
+    @pytest.mark.parametrize("dt", [math.nan, math.inf])
+    def test_non_finite_dt(self, dt):
+        b = jacobidiff.build(P22, 8, "generators")
+        u = CoeffVector(params=P22, coeffs=np.ones(8))
+        with pytest.raises(DomainError, match="finite"):
+            step_diffusion(b, u, dt)
+
 
 _MARCH_POINTS = np.linspace(-0.9, 0.9, 721)
 
@@ -513,6 +520,13 @@ class TestCayleyStepper:
         u = CoeffVector(params=P22, coeffs=np.zeros(8))
         with pytest.raises(DomainError):
             step_advection_cayley(b, u, -1.0)
+
+    @pytest.mark.parametrize("dt", [math.nan, math.inf])
+    def test_non_finite_dt(self, dt):
+        b = jacobidiff.build(P22, 8, "generators")
+        u = CoeffVector(params=P22, coeffs=np.ones(8))
+        with pytest.raises(DomainError, match="finite"):
+            step_advection_cayley(b, u, dt)
 
 
 class TestCoeffVector:
