@@ -38,7 +38,7 @@ from .specfun import (
     hyper_pfq_at,
     log_gamma,
 )
-from .semisep import ShiftedSolver, SkewGeneratorPair, _refuse_dense, _skew_reduction
+from .semisep import ShiftedSolver, SkewGeneratorPair, _as_vector, _reduction, _refuse_dense
 
 __all__ = [
     "DiffMatrixBuild",
@@ -66,6 +66,8 @@ def kappa_vector(params: JacobiParams, nmax: int) -> np.ndarray:
     """Normalization constants kappa_0 .. kappa_nmax making kappa_n P_n^(a,b)
     orthonormal: the square root of the longdouble kappa^2 product,
     rounded to double once."""
+    if nmax < 0:
+        raise DomainError(f"degree must be >= 0, got {nmax}")
     return np.sqrt(_kappa_squares(params.alpha, params.beta, nmax)).astype(float)
 
 
@@ -236,8 +238,8 @@ def _oracle_table(params: JacobiParams, nmax: int):
 def oracle_entry(params: JacobiParams, m: int, n: int) -> float:
     """Lower-triangle entry by Gauss quadrature of -1/2 int w' p_m p_n with
     m + 1 nodes: exact, since the line times p_m p_n has degree <= 2m."""
-    if m < n + 1:
-        raise DomainError("oracle_entry covers the lower triangle m >= n + 1")
+    if m < n + 1 or n < 0:
+        raise DomainError("oracle_entry covers the lower triangle m >= n + 1 >= 1")
     table, weights = _oracle_table(params, m)
     return float(weights @ (table[m] * table[n]))
 
@@ -326,9 +328,10 @@ class DiffMatrixBuild:
     route stores the rank-2 skew ``pair``, which is its generator form.
     Both implement the two operations the steppers need, ``matvec`` and
     ``solve_shifted``: in O(N) through the generators, densely otherwise.
-    A build factors I + s D once per shift s, with ``lu_factor`` or from
-    the pair's one reduction C^T (I + s D) C = B0 + s B1, and keeps the
-    factors of the last few shifts, so repeated steps at one dt only solve.
+    Both take one vector of shape (N,) and raise alike on a bad one.  A
+    build factors I + s D once per shift s, by ``lu_factor`` or by one
+    ``ShiftedSolver`` on the pair's one reduction, and keeps the last few
+    factors, so repeated steps at one dt only solve.
     """
 
     params: JacobiParams
@@ -346,16 +349,23 @@ class DiffMatrixBuild:
         return self.matrix
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        """D @ v."""
+        """D @ v.  Raises ``FloatingPointError`` if the result is not finite."""
         if self.pair is not None:
             return self.pair.matvec(v)
-        return self.matrix @ v
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            out = self.matrix @ _as_vector(v, self.n)
+        if not np.isfinite(out).all():
+            raise FloatingPointError("matvec result is not finite")
+        return out
 
     def solve_shifted(self, s: float, rhs: np.ndarray) -> np.ndarray:
         """The solution x of (I + s D) x = rhs.
 
-        Raises ``DomainError`` if s is not finite, and
-        ``semisep.SingularityError`` if a band factor finds it singular.
+        Raises ``DomainError`` if s is not finite, ``ValueError`` if rhs is
+        not finite or not of shape (N,), and ``semisep.SingularityError``
+        if a band factor finds the system singular.  A generator build's
+        band B0 + s B1 tends to B0 = C^T C, which squares the conditioning
+        of C: at s = 0 it returns rhs only to 1.7e-11 relative at N = 16384.
         """
         s = float(s)
         if not math.isfinite(s):
@@ -366,12 +376,12 @@ class DiffMatrixBuild:
                 factor = functools.partial(lu_solve, lu_factor(np.eye(self.n) + s * self.matrix))
             else:
                 if "reduction" not in self._cache:
-                    self._cache["reduction"] = _skew_reduction(self.pair)
-                factor = ShiftedSolver._of_skew(self.pair, s, self._cache["reduction"]).solve
+                    self._cache["reduction"] = _reduction(self.pair)
+                factor = ShiftedSolver(self.pair, 1.0, s, self._cache["reduction"]).solve
             if len(factors) >= _FACTOR_CACHE_SIZE:
                 del factors[next(iter(factors))]  # the oldest
             factors[s] = factor
-        return factors[s](rhs)
+        return factors[s](rhs if self.pair is not None else _as_vector(rhs, self.n))
 
 
 def build(params: JacobiParams, n_size: int, source: str) -> DiffMatrixBuild:

@@ -120,9 +120,7 @@ class SemiSepGenerators:
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """A @ v in O(N r) via suffix sums of b*v and prefix sums of e*v.
         Raises ``FloatingPointError`` if the result is not finite."""
-        v = np.asarray(v, dtype=float)
-        if v.shape != (self.n,):
-            raise ValueError(f"vector length {v.shape} does not match size {self.n}")
+        v = _as_vector(v, self.n)
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
             out = self.c * v + np.einsum("in,in->n", self.a, _suffix(self.b * v))
             out = out + np.einsum("in,in->n", self.d, _excl_prefix(self.e * v))
@@ -185,6 +183,14 @@ def skew_expand(pair: SkewGeneratorPair) -> SemiSepGenerators:
 def scale(g: SemiSepGenerators, s: float) -> SemiSepGenerators:
     """s * A, scaling the row-side generators and the diagonal."""
     return SemiSepGenerators(n=g.n, a=s * g.a, b=g.b, c=s * g.c, d=s * g.d, e=g.e)
+
+
+def _as_vector(v, n: int, asarray=np.asarray) -> np.ndarray:
+    """asarray(v, dtype=float), which must have shape (n,)."""
+    v = asarray(v, dtype=float)
+    if v.shape != (n,):
+        raise ValueError(f"vector shape {v.shape} does not match size {n}")
+    return v
 
 
 def _excl_prefix(x: np.ndarray) -> np.ndarray:
@@ -331,9 +337,7 @@ class BandedMatrix:
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """The solution x of A x = rhs, as a new array."""
-        rhs = np.asarray(rhs, dtype=float)
-        if rhs.shape != (self.n,):
-            raise ValueError(f"rhs shape {rhs.shape} does not match size {self.n}")
+        rhs = _as_vector(rhs, self.n)
         if self.piv is None:
             # Positional arguments (incx, offx, lower, trans, diag[, overwrite_x])
             # save f2py's keyword parsing, a third of a solve at n = 64.
@@ -395,9 +399,31 @@ def _annihilation_coeffs(gen: np.ndarray):
     return x
 
 
-def reduce_to_banded(
-    g: SemiSepGenerators, shift: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _congruence_band(row_coeffs: np.ndarray, col_coeffs: np.ndarray, md: np.ndarray | None = None) -> np.ndarray:
+    """The band |p| <= r of T M C in LAPACK band storage, from the (n, r)
+    coefficients of T and C (see ``reduce_to_banded``) and the diagonals
+    md[2r+k, m] = M[m, m+k] of M at offsets -2r .. r; M = I if md is None."""
+    n, r = col_coeffs.shape
+    if md is None:
+        md = np.outer(np.arange(3 * r + 1) == 2 * r, np.ones(n))
+    # Rows of C and T, zero-padded by r on both sides so that every shift
+    # below is a plain slice: cx[j, r+k] = C[k-j, k], ty[i, r+m] = T[m, m-i].
+    cx = np.zeros((r + 1, n + 2 * r))
+    cx[:, r : r + n] = np.vstack([np.ones(n), -col_coeffs.T])
+    ty = np.zeros_like(cx)
+    ty[:, r : r + n] = np.vstack([np.ones(n), -row_coeffs.T])
+    mc = np.zeros((2 * r + 1, n + 2 * r))        # mc[r+q, r+m] = (M C)[m, m+q]
+    for q in range(-r, r + 1):
+        for j in range(r + 1):                   # (M C)[m, m+q] += M[m, m+q-j] C[m+q-j, m+q]
+            mc[r + q, r : r + n] += md[2 * r + q - j] * cx[j, r + q : r + q + n]
+    bands = np.zeros((2 * r + 1, n))             # bands[r-p, k] = B[k-p, k]
+    for p in range(-r, r + 1):
+        for i in range(min(r, r - p) + 1):       # B[k-p, k] += T[k-p, k-p-i] (M C)[k-p-i, k]
+            bands[r - p] += ty[i, r - p : r - p + n] * mc[r + p + i, r - p - i : r - p - i + n]
+    return bands
+
+
+def reduce_to_banded(g: SemiSepGenerators, shift: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Eliminate the generator structure of M = shift*I + A down to a band.
 
     Column sweep: column k of M C is column k of M minus a combination of
@@ -413,7 +439,8 @@ def reduce_to_banded(
     B = T M C at offset p draws on M C at offsets p .. p+r, and those on
     M at offsets p-r .. p+r.  As M C vanishes above offset r, the band
     |p| <= r needs only the diagonals of M at offsets -2r .. r, which are
-    read off the generators directly.
+    read off the generators directly.  T depends on d alone and C on b
+    alone, so B is band(T A C) + shift * band(T C), formed by one loop.
 
     Returns the 2r+1-diagonal band B in LAPACK band storage,
     bands[r + i - j, j] = B[i, j], and the (n, r) row and column
@@ -421,27 +448,22 @@ def reduce_to_banded(
     C[k-j, k] = -col_coeffs[k, j-1]: (shift*I + A) x = rhs is then
     B z = T rhs with x = C z.  If d is b, row_coeffs is col_coeffs: T = C^T.
     """
-    n, r = g.n, g.rank
+    r = g.rank
     x = _annihilation_coeffs(g.b)                # (n, r), zero for k < r
     y = x if g.d is g.b else _annihilation_coeffs(g.d)  # a skew pair's T is C^T
-    # Rows of C and T, zero-padded by r on both sides so that every shift
-    # below is a plain slice: cx[j, r+k] = C[k-j, k], ty[i, r+m] = T[m, m-i].
-    cx = np.zeros((r + 1, n + 2 * r))
-    cx[:, r : r + n] = np.vstack([np.ones(n), -x.T])
-    ty = np.zeros_like(cx)
-    ty[:, r : r + n] = np.vstack([np.ones(n), -y.T])
-    md = g.diagonals(range(-2 * r, r + 1))       # md[2r+k, m] = M[m, m+k]
-    md[2 * r] += shift
-    mc = np.zeros((2 * r + 1, n + 2 * r))        # mc[r+q, r+m] = (M C)[m, m+q]
-    for q in range(-r, r + 1):
-        for j in range(r + 1):                   # (M C)[m, m+q] += M[m, m+q-j] C[m+q-j, m+q]
-            mc[r + q, r : r + n] += md[2 * r + q - j] * cx[j, r + q : r + q + n]
-    bands = np.zeros((2 * r + 1, n))             # bands[r-p, k] = B[k-p, k]
-    for p in range(-r, r + 1):
-        for i in range(min(r, r - p) + 1):       # B[k-p, k] += T[k-p, k-p-i] (M C)[k-p-i, k]
-            lo = r - p - i
-            bands[r - p] += ty[i, r - p : r - p + n] * mc[r + p + i, lo : lo + n]
+    bands = _congruence_band(y, x, g.diagonals(range(-2 * r, r + 1)))
+    if shift:
+        bands += shift * _congruence_band(y, x)
     return bands, y, x
+
+
+def _reduction(g: SemiSepGenerators) -> tuple:
+    """(B0, B1, row_coeffs, col_coeffs): the bands B0 of T C and B1 of
+    T A C, and the coefficients of T and C, from one ``reduce_to_banded``
+    at shift 0.  T (s I + w A) C = s B0 + w B1 for every s and w."""
+    with np.errstate(over="ignore", invalid="ignore"):  # BandedMatrix refuses inf and nan
+        b1, y, x = reduce_to_banded(g, 0.0)
+        return _congruence_band(y, x), b1, y, x
 
 
 def _row_transform(row_coeffs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -453,15 +475,13 @@ def _row_transform(row_coeffs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 class ShiftedSolver:
-    """(shift*I + A) x = rhs, factored once and solved many times.
+    """(shift*I + weight*A) x = rhs, factored once and solved many times.
 
-    Construction runs the band reduction of ``reduce_to_banded`` once and
-    factors the 2r+1-diagonal band as a ``BandedMatrix``, in O(N r^2).
-    Each ``solve`` is then the row transform of rhs, the band's solve and
-    the column back-map, in O(N r).
-
-    For a skew pair A, C^T (I + sA) C = B0 + s B1 for every s: ``_of_skew``
-    factors I + sA from the pair's one ``_skew_reduction`` with a band axpy.
+    Construction takes A's ``_reduction`` (B0, B1, T, C), or forms it in
+    O(N r^2), and factors the band T (shift*I + weight*A) C = shift*B0 +
+    weight*B1 as a ``BandedMatrix``; shifts that share a reduction share
+    all but this axpy and factor.  Each ``solve`` is then the row
+    transform of rhs, the band's solve and the column back-map, in O(N r).
 
     ``growth`` is the largest |annihilation coefficient| of the
     reduction: the factor by which elimination can amplify entries.
@@ -472,24 +492,11 @@ class ShiftedSolver:
     ``SingularityError`` if the band is singular.
     """
 
-    def __init__(self, g: SemiSepGenerators, shift: float):
-        self.g, self.shift, self._weight = g, float(shift), 1.0
-        # An overflow in the reduction leaves inf or nan in the band, which BandedMatrix refuses.
-        with np.errstate(over="ignore", invalid="ignore"):
-            bands, self.row_coeffs, self.col_coeffs = reduce_to_banded(g, shift)
-        self.band = BandedMatrix(bands, g.rank, g.rank)
-
-    @classmethod
-    def _of_skew(cls, pair: SkewGeneratorPair, s: float, reduction: tuple) -> "ShiftedSolver":
-        """(I + s A) x = rhs for the skew pair A, from its ``_skew_reduction``
-        (B0, B1, x): ``shift`` is 1, and ``residual`` weighs the pair by s."""
-        b0, b1, x = reduction
-        solver = cls.__new__(cls)
-        solver.g, solver.shift, solver._weight = pair, 1.0, float(s)
-        solver.row_coeffs = solver.col_coeffs = x
-        with np.errstate(over="ignore", invalid="ignore"):
-            solver.band = BandedMatrix(b0 + s * b1, pair.rank, pair.rank)
-        return solver
+    def __init__(self, g: SemiSepGenerators, shift: float, weight: float = 1.0, reduction=None):
+        self.g, self.shift, self.weight = g, float(shift), float(weight)
+        b0, b1, self.row_coeffs, self.col_coeffs = _reduction(g) if reduction is None else reduction
+        with np.errstate(over="ignore", invalid="ignore"):  # BandedMatrix refuses inf and nan
+            self.band = BandedMatrix(self.shift * b0 + self.weight * b1, g.rank, g.rank)
 
     @property
     def growth(self) -> float:
@@ -497,11 +504,10 @@ class ShiftedSolver:
         return float(np.abs(coeffs).max(initial=0.0))
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """The solution x of (shift*I + A) x = rhs."""
+        """The solution x of (shift*I + weight*A) x = rhs.  Raises
+        ``ValueError`` if rhs is not finite or not of shape (n,)."""
         n, r = self.g.n, self.g.rank
-        rhs = np.asarray(rhs, dtype=float)
-        if rhs.shape != (n,):
-            raise ValueError(f"rhs length {rhs.shape} does not match size {n}")
+        rhs = _as_vector(rhs, n, np.asarray_chkfinite)
         # The band's solve is a new array, so the back-map x = C z runs in
         # place on it; every product reads z before any is subtracted from it.
         x = self.band.solve(_row_transform(self.row_coeffs, rhs))
@@ -511,34 +517,15 @@ class ShiftedSolver:
         return x
 
     def residual(self, x: np.ndarray, rhs: np.ndarray) -> float:
-        """||M x - rhs|| / (|shift| ||x|| + ||A x|| + ||rhs||), M = shift*I + A."""
-        x = np.asarray(x, dtype=float)
-        rhs = np.asarray(rhs, dtype=float)
-        ax = self._weight * self.g.matvec(x)
+        """||M x - rhs|| / (|shift| ||x|| + ||w A x|| + ||rhs||), M = shift*I + w A."""
+        x, rhs = (np.asarray(v, dtype=float) for v in (x, rhs))
+        ax = self.weight * self.g.matvec(x)
         denom = abs(self.shift) * np.linalg.norm(x) + np.linalg.norm(ax) + np.linalg.norm(rhs)
         resid = np.linalg.norm(self.shift * x + ax - rhs)
         return float(resid / denom) if denom else 0.0
 
 
-def _skew_reduction(pair: SkewGeneratorPair) -> tuple:
-    """The bands B0 of C^T C and B1 of C^T A C of the skew pair A, and the
-    coefficients x of C, as ``reduce_to_banded`` at shift 0 stores them.
-    B0 is formed from x, not as a difference, and is exactly symmetric."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        b1, _, x = reduce_to_banded(pair, 0.0)
-    n, r = x.shape
-    cx = np.vstack([np.ones(n), -x.T])            # cx[j, k] = C[k-j, k]
-    b0 = np.zeros_like(b1)                        # b0[r-p, k] = B0[k-p, k]
-    for p in range(min(r, n - 1) + 1):
-        for j in range(r + 1 - p):
-            b0[r - p, p:] += cx[j, : n - p] * cx[j + p, p:]
-        b0[r + p, : n - p] = b0[r - p, p:]
-    return b0, b1, x
-
-
-def solve_structured(
-    g: SemiSepGenerators, shift: float, rhs: np.ndarray
-) -> np.ndarray:
+def solve_structured(g: SemiSepGenerators, shift: float, rhs: np.ndarray) -> np.ndarray:
     """Solve (shift*I + A) x = rhs in O(N r^2) time and O(N r) memory."""
     return ShiftedSolver(g, shift).solve(rhs)
 

@@ -77,6 +77,8 @@ def wfun_table(params: JacobiParams, nmax: int, x) -> np.ndarray:
 
     Points must lie in [-1, 1]; the endpoint value is 0.
     """
+    if nmax < 0:
+        raise DomainError(f"degree must be >= 0, got {nmax}")
     x = _domain_points(x)
     return _orthonormal_table(params.alpha, params.beta, nmax, x) * _sqrt_weight(params, x)[None, :]
 

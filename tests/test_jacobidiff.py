@@ -37,6 +37,10 @@ class TestKappa:
         assert kv[0] == pytest.approx(math.sqrt(15.0) / 4.0, rel=1e-14)
         assert kv[1] == pytest.approx(math.sqrt(35.0 / 48.0), rel=1e-14)
 
+    def test_negative_degree_rejected(self):
+        with pytest.raises(DomainError, match="degree"):
+            kappa_vector(P22, -1)
+
     def test_limit_parameters(self):
         # kappa_0 for the flat weight tends to 1/sqrt(2) as both exponents
         # shrink; probe with a small positive value.
@@ -309,6 +313,12 @@ class TestOracle:
         assert oracle_entry(P22, 1, 0) == pytest.approx(math.sqrt(7.0) / 2.0, rel=1e-13)
         assert abs(oracle_entry(P22, 2, 0)) <= 1e-13
 
+    @pytest.mark.parametrize("m,n", [(3, -3), (0, -1), (1, 1), (2, 3)])
+    def test_outside_the_lower_triangle_rejected(self, m, n):
+        # (3, -3) used to read D[3, 1] through a negative table index.
+        with pytest.raises(DomainError):
+            oracle_entry(JacobiParams(2.0, 3.0), m, n)
+
     def test_agrees_with_closed_form(self):
         assert oracle_entry(P42, 3, 1) == pytest.approx(
             d_entry_closed_form(P42, 3, 1), abs=1e-11
@@ -479,6 +489,22 @@ class TestBuild:
                 assert np.abs(got - ref).max() <= 2e-14 * np.abs(ref).max()
             else:
                 assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_both_paths_reject_the_same_inputs(self, source):
+        b = build(P42, 8, source)
+        for bad in (math.nan, math.inf):
+            v = np.ones(8)
+            v[3] = bad
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                b.solve_shifted(0.1, v)
+            with pytest.raises(FloatingPointError, match="not finite"):
+                b.matvec(v)
+        for shape in ((8, 2), (7,), (1, 8), ()):
+            with pytest.raises(ValueError):
+                b.matvec(np.ones(shape))
+            with pytest.raises(ValueError):
+                b.solve_shifted(0.1, np.ones(shape))
 
     @pytest.mark.parametrize("source", SOURCES)
     @pytest.mark.parametrize("n", [1, 2, 24])

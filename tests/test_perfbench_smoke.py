@@ -3,8 +3,10 @@
 ``perfbench/`` drives the library through public names: it reads
 ``jacobidiff.build(...).pair``, calls ``semisep.skew_expand`` and
 ``cli.main``, and traces the library functions behind its per-layer
-metrics.  A rename of any of them breaks the benchmark; these runs make it
-fail here instead.  So does a ``verify`` FAIL that the verify workload's
+metrics, ``semisep.scale`` among them.  Its ``reduce_to_banded`` hook
+reads the shift as ``args[1]``, so the library must call
+``reduce_to_banded(g, shift)`` with both arguments positional.  A rename
+of any of them breaks the benchmark; these runs make it fail here instead.  So does a ``verify`` FAIL that the verify workload's
 baseline does not list, which that workload counts as a failed operation.
 """
 

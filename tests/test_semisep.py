@@ -543,6 +543,34 @@ class TestShiftedSolver:
             assert np.array_equal(solver.solve(rhs), ref)  # the factor is not consumed
             assert np.array_equal(solve_structured(gs, 1.0, rhs), ref)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 40])
+    @pytest.mark.parametrize("rank", [0, 1, 2, 3])
+    def test_shifts_share_one_reduction(self, rank, n):
+        """On general generators B0 is the band of T C, and the factors of
+        every shift from one reduction are those of a fresh one."""
+        rng = np.random.default_rng(100 * n + rank)
+        g = random_generators(n, rank, rng)
+        reduction = semisep._reduction(g)
+        _, _, t_mat, _, c_mat = dense_reduction_factors(g, 0.0)
+        tc = t_mat @ c_mat
+        in_band = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) <= rank
+        assert not np.where(in_band, 0.0, tc).any()
+        # Summed in another order than the matrix product: at most 0.92 ulp
+        # of the entrywise scale |T| |C| was measured.
+        tol = 4 * np.finfo(float).eps * (np.abs(t_mat) @ np.abs(c_mat))
+        assert np.all(np.abs(band_to_dense(reduction[0], rank, rank) - tc) <= tol)
+        assert np.array_equal(dense_to_band(band_to_dense(reduction[0], rank, rank), rank, rank), reduction[0])
+        rhs = rng.standard_normal(n)
+        base = 10.0 * max(np.abs(g.to_dense()).sum(axis=1).max(), 1.0)
+        for shift in (base, -base, 0.5 * base, 3.0 * base):
+            x = ShiftedSolver(g, shift, 1.0, reduction).solve(rhs)
+            assert np.array_equal(x, ShiftedSolver(g, shift).solve(rhs))
+            ref = reference_solve(g, shift, rhs)
+            if rank == 1:  # solve_banded takes gtsv, another elimination: 1.2e-12 measured
+                assert np.abs(x - ref).max() <= 1e-11 * np.abs(ref).max()
+            else:
+                assert np.array_equal(x, ref)
+
     @pytest.mark.parametrize("alpha,beta", PAIRS)
     def test_scale_minus_one_takes_the_pivoting_solve(self, alpha, beta):
         # So that test_bit_identical_to_unfactored_solve covers gbtrs too.
@@ -639,7 +667,7 @@ class TestSkewReduction:
     @pytest.mark.parametrize("alpha,beta", PARAMS)
     def test_bands_match_a_fresh_reduction(self, alpha, beta, n):
         g = jacobidiff.generators(JacobiParams(alpha, beta), n)
-        b0, b1, x = semisep._skew_reduction(g)
+        b0, b1, _, x = semisep._reduction(g)
         assert np.array_equal(b0, self.transpose_band(b0, 2))  # exactly symmetric
         for s in self.SHIFTS:
             fresh, row_coeffs, col_coeffs = reduce_to_banded(scale(g, s), 1.0)
@@ -661,24 +689,27 @@ class TestSkewReduction:
         assert len(calls) == 3
         assert all(map(np.array_equal, (bands, row_coeffs, col_coeffs), ref))
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 64])
+    @pytest.mark.parametrize("n", [1, 2, 3, 64, 1024])
     @pytest.mark.parametrize("alpha,beta", PARAMS)
     def test_zero_shift_returns_rhs(self, alpha, beta, n):
+        # B0 = C^T C squares the conditioning of C: at most 3.8e-15 was
+        # measured up to N = 64 and 3.5e-13 at N = 1024 over PARAMS.
         g = jacobidiff.generators(JacobiParams(alpha, beta), n)
         rhs = np.random.default_rng(n).standard_normal(n)
-        x = ShiftedSolver._of_skew(g, 0.0, semisep._skew_reduction(g)).solve(rhs)
-        assert np.abs(x - rhs).max() <= 1e-14 * np.abs(rhs).max()
+        x = ShiftedSolver(g, 1.0, 0.0, semisep._reduction(g)).solve(rhs)
+        bound = 5e-13 if n == 1024 else 1e-14
+        assert np.abs(x - rhs).max() <= bound * np.abs(rhs).max()
 
     @pytest.mark.parametrize("alpha,beta", [(2.0, 2.0), (0.5, 12.0)])
     def test_solver_matches_the_scaled_one(self, alpha, beta):
         g = jacobidiff.generators(JacobiParams(alpha, beta), 1024)
-        reduction = semisep._skew_reduction(g)
+        reduction = semisep._reduction(g)
         rhs = np.random.default_rng(7).standard_normal(1024)
         for s in (0.1, -0.1, -5e-3, 0.37):
             ref = ShiftedSolver(scale(g, s), 1.0)
-            solver = ShiftedSolver._of_skew(g, s, reduction)
+            solver = ShiftedSolver(g, 1.0, s, reduction)
             x = solver.solve(rhs)
-            assert solver.g is g and solver.col_coeffs is reduction[2]
+            assert solver.g is g and solver.col_coeffs is reduction[3]
             assert np.abs(x - ref.solve(rhs)).max() <= 2e-14 * np.abs(x).max()
             assert solver.growth == pytest.approx(ref.growth, rel=1e-15)
             assert solver.residual(x, rhs) <= 1e-13

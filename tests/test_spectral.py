@@ -46,6 +46,10 @@ class TestBasisEvaluation:
         with pytest.raises(DomainError):
             wfun_table(P22, 3, np.array([0.0, -1.5]))
 
+    def test_negative_degree_rejected(self):
+        with pytest.raises(DomainError, match="degree"):
+            wfun_table(P22, -1, 0.0)
+
     def test_unit_norms(self):
         # phi_n^2 is a polynomial of degree 2n plus the (integer) weight
         # exponents, so 32 flat-weight nodes integrate it exactly here.
