@@ -296,6 +296,34 @@ def product(ga: SemiSepGenerators, gb: SemiSepGenerators) -> SemiSepGenerators:
     return SemiSepGenerators(n=ga.n, a=a, b=b, c=c, d=d, e=e)
 
 
+def _unit_factors(lu: np.ndarray, p: int, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """The bands of L~ and U^ in A = D L~ U^, from the gbtrf factor lu of a
+    band that took no interchanges: lower[k, j] = L~[j+k, j] for k >= 1
+    and upper[q+i-j, j] = U^[i, j], in the storage that tbsv reads.
+    Row 0 of lower holds D^-1 and row q of upper holds D: unit sweeps
+    read neither.  Raises ``SingularityError``, naming the column, if a
+    pivot's reciprocal or a ratio of pivots overflows."""
+    n = lu.shape[1]
+    lower = np.array(lu[p + q :], order="F")   # copies; row 0 is U's diagonal D
+    upper = np.array(lu[p : p + q + 1], order="F")
+    d = upper[q]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # checked below
+        np.divide(1.0, d, out=lower[0])
+        for k in range(1, p + 1):              # L~[j+k, j] = L[j+k, j] (d[j] / d[j+k])
+            m = max(n - k, 0)
+            lower[k, :m] *= d[:m] / d[n - m :]
+        for k in range(1, q + 1):              # U^[j-k, j] = U[j-k, j] / d[j-k]
+            m = max(n - k, 0)
+            upper[q - k, n - m :] /= d[:m]
+    if not (np.isfinite(lower).all() and np.isfinite(upper).all()):
+        # Name the first reciprocal that overflows, else the first ratio.
+        for what, rows in (("reciprocal", lower[:1]), ("ratio", np.vstack([lower, upper]))):
+            finite = np.isfinite(rows).all(axis=0)
+            if not finite.all():
+                raise SingularityError(f"pivot {what} overflows in banded factor", int(np.argmin(finite)))
+    return lower, upper
+
+
 class BandedMatrix:
     """LU factor of a band matrix with lower bandwidth p and upper bandwidth q.
 
@@ -303,13 +331,18 @@ class BandedMatrix:
     bands[q + i - j, j] = A[i, j].  Construction factors it once with
     partial pivoting (gbtrf).  It raises ``FloatingPointError``, naming
     the first column, if the band storage is not finite, and
-    ``SingularityError`` if the band is singular.  If the factorization
-    interchanged no rows, L is a unit lower band with p subdiagonals and U
-    an upper band with q superdiagonals (there is no fill-in); ``piv`` is
-    then None and each ``solve`` applies the two bands as two BLAS banded
-    triangular solves (tbsv).  Otherwise
-    ``lu`` and ``piv`` hold the gbtrf factor and each ``solve`` is one
-    gbtrs.  Both apply the same factor with the same arithmetic.
+    ``SingularityError`` if the band is singular.
+
+    If the factorization interchanged no rows, A = L U with L a unit lower
+    band of p subdiagonals and U an upper band of q superdiagonals (there
+    is no fill-in).  It is stored as A = D L~ U^ with D = diag(U) the
+    pivots, U^ = D^-1 U unit upper and L~ = D^-1 L D unit lower,
+    L~[i, j] = L[i, j] U[j, j] / U[i, i].  ``piv`` is then None and each
+    ``solve`` is one multiply by D^-1 and two unit-diagonal BLAS banded
+    triangular solves (tbsv), with no division.  Construction raises
+    ``SingularityError``, naming the column, if a pivot's reciprocal or a
+    ratio of pivots overflows.  Otherwise ``lu`` and ``piv`` hold the
+    gbtrf factor and each ``solve`` is one gbtrs.
     """
 
     def __init__(self, bands: np.ndarray, p: int, q: int):
@@ -327,10 +360,8 @@ class BandedMatrix:
             raise SingularityError("singular banded factor", info - 1)
         if (piv == np.arange(self.n)).all() and not lu[:p].any():
             # Without interchanges the p fill-in rows stay 0, so U fits in q
-            # superdiagonals.  Row p + q is U's diagonal, which the unit-diagonal
-            # sweep over L does not read.
-            self._lower = np.asfortranarray(lu[p + q :])
-            self._upper = np.asfortranarray(lu[p : p + q + 1])
+            # superdiagonals.
+            self._lower, self._upper = _unit_factors(lu, p, q)
             self.lu = self.piv = None
         else:
             self.lu, self.piv = lu, piv
@@ -339,10 +370,13 @@ class BandedMatrix:
         """The solution x of A x = rhs, as a new array."""
         rhs = _as_vector(rhs, self.n)
         if self.piv is None:
-            # Positional arguments (incx, offx, lower, trans, diag[, overwrite_x])
-            # save f2py's keyword parsing, a third of a solve at n = 64.
-            y = dtbsv(self.p, self._lower, rhs, 1, 0, 1, 0, 1)  # unit lower
-            return dtbsv(self.q, self._upper, y, 1, 0, 0, 0, 0, 1)  # upper, in place
+            # x = inv(U^) inv(L~) inv(D) rhs.  The multiply makes the new array that
+            # both sweeps then overwrite.  Positional arguments (incx, offx,
+            # lower, trans, diag, overwrite_x) save f2py's keyword parsing, a
+            # third of a solve at n = 64.
+            x = self._lower[0] * rhs
+            x = dtbsv(self.p, self._lower, x, 1, 0, 1, 0, 1, 1)  # unit lower, in place
+            return dtbsv(self.q, self._upper, x, 1, 0, 0, 0, 1, 1)  # unit upper, in place
         x, info = dgbtrs(self.lu, self.p, self.q, rhs, self.piv)
         if info < 0:
             raise ValueError(f"illegal argument {-info} to banded solver")
@@ -354,7 +388,9 @@ def _annihilation_coeffs(gen: np.ndarray):
     columns before it.
 
     x solves gen[:, m] = sum_j x_j gen[:, m-1-j] for m = r .. n-1.
-    Returns an (n, r) array, zero-filled on unprocessed rows.  For r = 2
+    Returns an (n, r) array, zero-filled on unprocessed rows.  It is the
+    transpose of a C-contiguous (r, n) array, so that each column, the
+    run that a solve reads, is contiguous.  For r = 2
     the local systems are solved by Cramer's rule, which is forward
     stable for 2 x 2 systems (Higham, Accuracy and Stability of Numerical
     Algorithms, sec. 1.10); other ranks take one batched LU solve.  A
@@ -364,13 +400,13 @@ def _annihilation_coeffs(gen: np.ndarray):
     """
     gen = np.asarray(gen, dtype=float)  # local solves run in double
     r, n = gen.shape
-    x = np.zeros((n, r))
+    x = np.zeros((r, n)).T
     rows = np.arange(r, n)
+    sol = x[r:]  # the rows that the local systems fill
     # Local systems G @ x = rhs with G[i, j] = gen[i, m-1-j], rhs = gen[:, m].
     if r == 2:
         (g00, g10), (g01, g11), (h0, h1) = gen[:, 1:-1], gen[:, :-2], gen[:, 2:]
         det = g00 * g11 - g01 * g10
-        sol = np.empty((rows.size, 2))
         with np.errstate(divide="ignore", invalid="ignore"):
             np.divide(h0 * g11 - g01 * h1, det, out=sol[:, 0])
             np.divide(g00 * h1 - h0 * g10, det, out=sol[:, 1])
@@ -378,10 +414,9 @@ def _annihilation_coeffs(gen: np.ndarray):
     else:
         idx = rows[:, None] - 1 - np.arange(r)[None, :]
         try:
-            sol = np.linalg.solve(gen[:, idx].transpose(1, 0, 2), gen[:, rows].T[..., None])[..., 0]
+            sol[:] = np.linalg.solve(gen[:, idx].transpose(1, 0, 2), gen[:, rows].T[..., None])[..., 0]
             redo = ()
         except np.linalg.LinAlgError:
-            sol = np.empty((rows.size, r))
             redo = range(rows.size)
     for k in redo:
         m = int(rows[k])
@@ -395,7 +430,6 @@ def _annihilation_coeffs(gen: np.ndarray):
             if float(np.abs(resid).max()) > tol:
                 raise SingularityError("rank-deficient local annihilation system", m) from None
             sol[k] = cand
-    x[rows] = sol
     return x
 
 
@@ -404,8 +438,6 @@ def _congruence_band(row_coeffs: np.ndarray, col_coeffs: np.ndarray, md: np.ndar
     coefficients of T and C (see ``reduce_to_banded``) and the diagonals
     md[2r+k, m] = M[m, m+k] of M at offsets -2r .. r; M = I if md is None."""
     n, r = col_coeffs.shape
-    if md is None:
-        md = np.outer(np.arange(3 * r + 1) == 2 * r, np.ones(n))
     # Rows of C and T, zero-padded by r on both sides so that every shift
     # below is a plain slice: cx[j, r+k] = C[k-j, k], ty[i, r+m] = T[m, m-i].
     cx = np.zeros((r + 1, n + 2 * r))
@@ -413,12 +445,18 @@ def _congruence_band(row_coeffs: np.ndarray, col_coeffs: np.ndarray, md: np.ndar
     ty = np.zeros_like(cx)
     ty[:, r : r + n] = np.vstack([np.ones(n), -row_coeffs.T])
     mc = np.zeros((2 * r + 1, n + 2 * r))        # mc[r+q, r+m] = (M C)[m, m+q]
-    for q in range(-r, r + 1):
-        for j in range(r + 1):                   # (M C)[m, m+q] += M[m, m+q-j] C[m+q-j, m+q]
-            mc[r + q, r : r + n] += md[2 * r + q - j] * cx[j, r + q : r + q + n]
+    if md is None:                               # M C = C, zero below the diagonal
+        for q in range(r + 1):
+            mc[r + q, r : r + n] = cx[q, r + q : r + q + n]
+    else:
+        for q in range(-r, r + 1):
+            for j in range(r + 1):               # (M C)[m, m+q] += M[m, m+q-j] C[m+q-j, m+q]
+                mc[r + q, r : r + n] += md[2 * r + q - j] * cx[j, r + q : r + q + n]
     bands = np.zeros((2 * r + 1, n))             # bands[r-p, k] = B[k-p, k]
     for p in range(-r, r + 1):
-        for i in range(min(r, r - p) + 1):       # B[k-p, k] += T[k-p, k-p-i] (M C)[k-p-i, k]
+        # B[k-p, k] += T[k-p, k-p-i] (M C)[k-p-i, k]; with M = I the terms
+        # i < -p read M C below its diagonal, which is 0.
+        for i in range(max(-p, 0) if md is None else 0, min(r, r - p) + 1):
             bands[r - p] += ty[i, r - p : r - p + n] * mc[r + p + i, r - p - i : r - p - i + n]
     return bands
 
@@ -504,8 +542,12 @@ class ShiftedSolver:
         return float(np.abs(coeffs).max(initial=0.0))
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """The solution x of (shift*I + weight*A) x = rhs.  Raises
-        ``ValueError`` if rhs is not finite or not of shape (n,)."""
+        """The solution x of (shift*I + weight*A) x = rhs: the row
+        transform T rhs, the band's solve (one multiply by the pivots'
+        reciprocals and two unit-diagonal sweeps, unless the factor
+        pivoted) and the back-map x = C z, each reading contiguous
+        coefficient rows.  Raises ``ValueError`` if rhs is not finite or
+        not of shape (n,)."""
         n, r = self.g.n, self.g.rank
         rhs = _as_vector(rhs, n, np.asarray_chkfinite)
         # The band's solve is a new array, so the back-map x = C z runs in

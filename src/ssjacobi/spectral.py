@@ -240,7 +240,9 @@ def step_advection_cayley(build: DiffMatrixBuild, u: CoeffVector, dt: float) -> 
         raise InternalConsistencyError(
             "Cayley system reported singular; its spectrum is 1 + imaginary"
         ) from exc
-    return CoeffVector(params=u.params, coeffs=2.0 * solved - u.coeffs)
+    solved *= 2.0  # a new array from either route's solve
+    solved -= u.coeffs
+    return CoeffVector(params=u.params, coeffs=solved)
 
 
 def write_norm_series_csv(path, rows) -> None:

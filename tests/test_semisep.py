@@ -512,6 +512,16 @@ class TestReduceToBanded:
         self.check(g, 1.0, np.random.default_rng(n).standard_normal(n))
 
 
+# Unpivoted band solves multiply by the pivots' reciprocals where gbtrs
+# divides (see BandedMatrix): at most 1.6e-14 of max |ref| was measured
+# against reference_solve on TestShiftedSolver's grid.
+SWEEP_RTOL = 4e-14
+
+
+def assert_solve_close(x, ref):
+    assert np.abs(x - ref).max() <= SWEEP_RTOL * np.abs(ref).max()
+
+
 def reference_solve(g, shift, rhs):
     """The unfactored solve: reduce, one LAPACK gbsv on the band (scipy's
     solve_banded at rank >= 2), column back-map."""
@@ -533,15 +543,24 @@ class TestShiftedSolver:
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 64, 1024, 16384])
     @pytest.mark.parametrize("alpha,beta", PAIRS)
     def test_bit_identical_to_unfactored_solve(self, alpha, beta, n):
+        """Bit for bit the unfactored solve where the factor pivots (gbtrs
+        on both sides); without pivoting, within SWEEP_RTOL of it and of a
+        dense solve."""
         g = jacobidiff.generators(JacobiParams(alpha, beta), n)
         rhs = np.random.default_rng(n).standard_normal(n)
         for s in self.SCALES:
             gs = scale(g, s)
             solver = ShiftedSolver(gs, 1.0)
             ref = reference_solve(gs, 1.0, rhs)
-            assert np.array_equal(solver.solve(rhs), ref)
-            assert np.array_equal(solver.solve(rhs), ref)  # the factor is not consumed
-            assert np.array_equal(solve_structured(gs, 1.0, rhs), ref)
+            x = solver.solve(rhs)
+            assert np.array_equal(solver.solve(rhs), x)  # the factor is not consumed
+            assert np.array_equal(solve_structured(gs, 1.0, rhs), x)
+            if solver.band.piv is not None:
+                assert np.array_equal(x, ref)
+                continue
+            assert_solve_close(x, ref)
+            if n <= 1024:
+                assert_solve_close(x, np.linalg.solve(np.eye(n) + gs.to_dense(), rhs))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 40])
     @pytest.mark.parametrize("rank", [0, 1, 2, 3])
@@ -563,13 +582,17 @@ class TestShiftedSolver:
         rhs = rng.standard_normal(n)
         base = 10.0 * max(np.abs(g.to_dense()).sum(axis=1).max(), 1.0)
         for shift in (base, -base, 0.5 * base, 3.0 * base):
-            x = ShiftedSolver(g, shift, 1.0, reduction).solve(rhs)
+            solver = ShiftedSolver(g, shift, 1.0, reduction)
+            x = solver.solve(rhs)
             assert np.array_equal(x, ShiftedSolver(g, shift).solve(rhs))
             ref = reference_solve(g, shift, rhs)
             if rank == 1:  # solve_banded takes gtsv, another elimination: 1.2e-12 measured
                 assert np.abs(x - ref).max() <= 1e-11 * np.abs(ref).max()
-            else:
+            elif solver.band.piv is not None:
                 assert np.array_equal(x, ref)
+            else:
+                assert_solve_close(x, ref)
+                assert_solve_close(x, np.linalg.solve(shift * np.eye(n) + g.to_dense(), rhs))
 
     @pytest.mark.parametrize("alpha,beta", PAIRS)
     def test_scale_minus_one_takes_the_pivoting_solve(self, alpha, beta):
@@ -823,8 +846,8 @@ class TestBandedMatrix:
         kept = rhs.copy()
         x = banded.solve(rhs)
         assert np.array_equal(rhs, kept)
-        assert np.array_equal(x, dgbtrs(lu, p, q, rhs, piv)[0])
-        assert np.allclose(x, np.linalg.solve(dense, rhs))
+        assert_solve_close(x, dgbtrs(lu, p, q, rhs, piv)[0])
+        assert_solve_close(x, np.linalg.solve(dense, rhs))
 
     @pytest.mark.parametrize("pivoting", [False, True])
     @pytest.mark.parametrize("p,q", [(1, 1), (2, 2), (2, 1), (1, 3)])
@@ -842,8 +865,44 @@ class TestBandedMatrix:
         if pivoting:
             assert np.array_equal(banded.lu, lu) and np.array_equal(banded.piv, piv)
         else:
-            assert np.array_equal(banded._lower, lu[p + q :])
-            assert np.array_equal(banded._upper, lu[p : p + q + 1])
+            lower, upper = semisep._unit_factors(lu, p, q)
+            assert np.array_equal(banded._lower, lower) and np.array_equal(banded._upper, upper)
+
+    @pytest.mark.parametrize("p,q", [(0, 0), (2, 1), (1, 3), (0, 2), (3, 0), (2, 2)])
+    @pytest.mark.parametrize("n", [1, 2, 5, 40])
+    def test_unit_factors_rebuild_the_band(self, n, p, q):
+        """D L~ U^ is the band to a few ulp of |L| |U|, the scale of the
+        roundoff of L U itself: at most 1.7 ulp was measured."""
+        rng = np.random.default_rng(100 * n + 10 * p + q)
+        dense = self.banded_dense(rng, n, p, q)
+        dense += np.diag(np.abs(dense).sum(axis=0))  # column dominant: no interchanges
+        bands = dense_to_band(dense, p, q)
+        banded = BandedMatrix(bands, p, q)
+        assert banded.piv is None
+        ab = np.zeros((2 * p + q + 1, n))
+        ab[p:] = bands
+        lu = dgbtrf(ab, p, q)[0]
+        lower = np.eye(n) + np.tril(band_to_dense(lu[p + q :], p, 0), -1)
+        upper = np.triu(band_to_dense(lu[p : p + q + 1], 0, q))
+        pivots = banded._upper[q]
+        assert np.array_equal(pivots, np.diag(upper))
+        assert np.array_equal(banded._lower[0], 1.0 / pivots)
+        unit_lower = np.eye(n) + np.tril(band_to_dense(banded._lower, p, 0), -1)
+        unit_upper = np.eye(n) + np.triu(band_to_dense(banded._upper, 0, q), 1)
+        rebuilt = pivots[:, None] * unit_lower @ unit_upper
+        tol = 4 * np.finfo(float).eps * (np.abs(lower) @ np.abs(upper))
+        assert np.all(np.abs(rebuilt - dense) <= tol)
+
+    @pytest.mark.parametrize("what,bands,p,q,column", [
+        ("reciprocal", np.vstack([np.zeros((2, 4)), [[1.0, 1.0, 1e-310, 1.0]], np.zeros((2, 4))]), 2, 2, 2),
+        ("ratio", np.array([[0.0, 0.0], [1e300, 1e-300], [1e10, 0.0]]), 1, 1, 0),
+    ])
+    def test_overflowing_pivot_raises(self, what, bands, p, q, column):
+        # A pivot of 1e-310 once gave an all-NaN solve with no warning.  The
+        # pivots 1e300 and 1e-300 with L = 1e-290 give L~ = 1e310.
+        with pytest.raises(SingularityError, match=f"pivot {what} overflows") as info:
+            BandedMatrix(bands, p, q)
+        assert info.value.pivot_index == column
 
     def test_wrong_rhs_length_raises(self):
         pivoting = np.array([[1e-3, 1.0, 0.0], [1.0, 1e-3, 1.0], [0.0, 1.0, 1e-3]])

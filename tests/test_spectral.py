@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ssjacobi import jacobidiff, specfun, spectral
+from ssjacobi import jacobidiff, semisep, specfun, spectral
 from ssjacobi.jacobidiff import kappa_vector
 from ssjacobi.spectral import (
     CoeffVector,
@@ -531,6 +531,37 @@ class TestCayleyStepper:
         u = CoeffVector(params=P22, coeffs=np.ones(8))
         with pytest.raises(DomainError, match="finite"):
             step_advection_cayley(b, u, dt)
+
+
+class TestSolveTraffic:
+    @pytest.mark.parametrize("alpha,beta", [(1.0, 1.0), (2.3, 4.1), (6.0, 1.5), (1.2, 5.7), (6.0, 6.0)])
+    def test_march_solves_are_two_unit_sweeps(self, alpha, beta, monkeypatch):
+        """Every band solve of the steppers' three shifts at N = 16384,
+        dt = 1e-3, is two unit-diagonal tbsv sweeps and no gbtrs."""
+        sweeps, gbtrs, per_solve = [], [], []
+        tbsv, band_solve = semisep.dtbsv, semisep.BandedMatrix.solve
+
+        def dtbsv(*args):
+            sweeps.append(args[7])  # diag, passed positionally
+            return tbsv(*args)
+
+        def counted_solve(self, rhs):
+            start = len(sweeps)
+            out = band_solve(self, rhs)
+            per_solve.append(sweeps[start:])
+            return out
+
+        monkeypatch.setattr(semisep, "dtbsv", dtbsv)
+        monkeypatch.setattr(semisep, "dgbtrs", lambda *args: gbtrs.append(args))
+        monkeypatch.setattr(semisep.BandedMatrix, "solve", counted_solve)
+        params = JacobiParams(alpha, beta)
+        b = jacobidiff.build(params, 16384, "generators")
+        coeffs = np.random.default_rng(9).standard_normal(16384) * np.exp(-np.arange(16384) / 2000)
+        u = CoeffVector(params=params, coeffs=coeffs)
+        for _ in range(2):  # the second round solves from the cached factors
+            step_advection_cayley(b, step_diffusion(b, u, 1e-3), 1e-3)
+        assert per_solve == [[1, 1]] * 6 and sweeps == [1] * 12 and gbtrs == []
+        assert np.array_equal(u.coeffs, coeffs)
 
 
 class TestCoeffVector:
