@@ -21,7 +21,10 @@ import numpy as np
 from . import jacobidiff, semisep, spectral
 from .specfun import DomainError, JacobiParams
 
-__all__ = ["RunConfig", "cmd_gen", "cmd_verify", "cmd_bench", "cmd_demo", "main"]
+__all__ = [
+    "RunConfig", "cmd_gen", "cmd_verify", "cmd_bench", "cmd_demo", "main",
+    "write_dense_csv", "write_norm_series_csv",
+]
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -65,6 +68,24 @@ class RunConfig:
         return JacobiParams(self.alpha, self.beta)
 
 
+def write_dense_csv(build_result: jacobidiff.DiffMatrixBuild, path) -> None:
+    """Row-major CSV with 17-significant-digit entries."""
+    dense = build_result.dense()
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        for row in dense:
+            writer.writerow([f"{v:.17g}" for v in row])
+
+
+def write_norm_series_csv(path, rows) -> None:
+    """Time series CSV with columns (step, t, l2_norm)."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["step", "t", "l2_norm"])
+        for step, t, norm in rows:
+            writer.writerow([step, f"{t:.17g}", f"{norm:.17g}"])
+
+
 def cmd_gen(config: RunConfig) -> int:
     """Write the matrix (CSV) or generator pair (JSON)."""
     if config.fmt == "json" and config.source != "generators":
@@ -77,7 +98,7 @@ def cmd_gen(config: RunConfig) -> int:
         with open(out, "w") as fh:
             fh.write(text)
     else:
-        jacobidiff.write_dense_csv(build, out)
+        write_dense_csv(build, out)
     print(f"wrote {out}")
     return EXIT_OK
 
@@ -350,7 +371,7 @@ def cmd_demo(config: RunConfig) -> int:
         rows.append((k, k * config.dt, u.norm()))
         norms.append(u.norm())
     out = config.out or f"demo_{config.problem}.csv"
-    spectral.write_norm_series_csv(out, rows)
+    write_norm_series_csv(out, rows)
     print(f"wrote {out}")
     print(f"final norm: {norms[-1]:.17g}")
     if config.problem == "diffusion":

@@ -19,7 +19,6 @@ with that orientation, so D[1, 0] > 0 on every route (see
 
 from __future__ import annotations
 
-import csv
 import functools
 import itertools
 import math
@@ -52,7 +51,6 @@ __all__ = [
     "oracle_matrix",
     "boundedness_sums",
     "build",
-    "write_dense_csv",
 ]
 
 SOURCES = ("closed_form", "recurrence", "quadrature_oracle", "generators")
@@ -410,12 +408,3 @@ def build(params: JacobiParams, n_size: int, source: str) -> DiffMatrixBuild:
         )
     matrix.flags.writeable = False
     return DiffMatrixBuild(params=params, n=n_size, source=source, matrix=matrix)
-
-
-def write_dense_csv(build_result: DiffMatrixBuild, path) -> None:
-    """Row-major CSV with 17-significant-digit entries."""
-    dense = build_result.dense()
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in dense:
-            writer.writerow([f"{v:.17g}" for v in row])

@@ -368,7 +368,10 @@ class BandedMatrix:
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """The solution x of A x = rhs, as a new array."""
-        rhs = _as_vector(rhs, self.n)
+        return self._solve(_as_vector(rhs, self.n))
+
+    def _solve(self, rhs: np.ndarray) -> np.ndarray:
+        """solve for a double array rhs of shape (n,), which is not checked."""
         if self.piv is None:
             # x = inv(U^) inv(L~) inv(D) rhs.  The multiply makes the new array that
             # both sweeps then overwrite.  Positional arguments (incx, offx,
@@ -552,7 +555,7 @@ class ShiftedSolver:
         rhs = _as_vector(rhs, n, np.asarray_chkfinite)
         # The band's solve is a new array, so the back-map x = C z runs in
         # place on it; every product reads z before any is subtracted from it.
-        x = self.band.solve(_row_transform(self.row_coeffs, rhs))
+        x = self.band._solve(_row_transform(self.row_coeffs, rhs))
         terms = [self.col_coeffs[j:, j - 1] * x[j:] for j in range(1, r + 1)]
         for j, term in enumerate(terms, 1):
             x[:-j] -= term

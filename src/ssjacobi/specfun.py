@@ -7,9 +7,9 @@ immutable after construction.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,18 +107,41 @@ def _kappa_squares(alpha: float, beta: float, nmax: int) -> np.ndarray:
     return np.cumprod(np.concatenate([first[: nmax + 1], ratios]))
 
 
-@functools.lru_cache(maxsize=8)
+# The recurrence coefficients of this many (alpha, beta) are kept.
+_COEFF_CACHE_SIZE = 8
+_coeff_cache: dict = {}  # (alpha, beta) -> the coefficients at the largest nmax asked for
+_coeff_lock = threading.Lock()
+
+
 def _rescaled_coeffs(alpha: float, beta: float, nmax: int):
     """g_k, a_k (k < nmax), t_0 .. t_nmax, p_0 = 1 / sqrt(mass) and b_k
-    (k < nmax), in longdouble, read-only, kept for the last 8 (alpha, beta,
-    nmax).  a_k and b_k are Jacobi matrix entries, which depend on k only:
-    a[:q] and b[:q-1] are the Jacobi matrix of q <= nmax rows.  With
-    p_k = t_k q_k, t_0 = t_1 = 1 and t_{k+1} = t_{k-1} b_{k-1} / b_k, the
-    orthonormal b_k p_{k+1} = (x - a_k) p_k - b_{k-1} p_{k-1} (a_k, b_k of
-    _jacobi_matrix) is q_{k+1} = g_k (x - a_k) q_k - q_{k-1} from q_0 = p_0,
-    g_k = t_k / (b_k t_{k+1}).  For k <= 4096, t_k stayed in [0.05, 1.13]
-    at alpha, beta in [0.001, 1000], and in [0.019, 2.83] down to -0.9.
+    (k < nmax), in longdouble, read-only.  a_k and b_k are Jacobi matrix
+    entries, which depend on k only: a[:q] and b[:q-1] are the Jacobi
+    matrix of q <= nmax rows.  With p_k = t_k q_k, t_0 = t_1 = 1 and
+    t_{k+1} = t_{k-1} b_{k-1} / b_k, the orthonormal b_k p_{k+1} = (x -
+    a_k) p_k - b_{k-1} p_{k-1} (a_k, b_k of _jacobi_matrix) is q_{k+1} =
+    g_k (x - a_k) q_k - q_{k-1} from q_0 = p_0, g_k = t_k / (b_k t_{k+1}).
+    For k <= 4096, t_k stayed in [0.05, 1.13] at alpha, beta in [0.001,
+    1000], and in [0.019, 2.83] down to -0.9.
+
+    Every entry depends on k alone, so the coefficients at nmax are a
+    prefix of those at any larger nmax, bit for bit.  They are kept for
+    the last 8 (alpha, beta) at the largest nmax asked for, and a smaller
+    nmax is served as slices of those.
     """
+    with _coeff_lock:
+        kept = _coeff_cache.pop((alpha, beta), None)
+        if kept is None or len(kept[0]) < nmax:
+            kept = _form_rescaled_coeffs(alpha, beta, nmax)
+        _coeff_cache[alpha, beta] = kept  # the most recent last
+        if len(_coeff_cache) > _COEFF_CACHE_SIZE:
+            del _coeff_cache[next(iter(_coeff_cache))]
+    g, a, t, p0, off = kept
+    return g[:nmax], a[:nmax], t[: nmax + 1], p0, off[:nmax]
+
+
+def _form_rescaled_coeffs(alpha: float, beta: float, nmax: int):
+    """The read-only coefficients of _rescaled_coeffs, formed at nmax."""
     diag, off = _jacobi_matrix(alpha, beta, nmax + 1)
     t = np.ones(nmax + 1, dtype=np.longdouble)
     rho = off[:-1] / off[1:]  # rho[k-1] = b_{k-1} / b_k
@@ -130,9 +153,10 @@ def _rescaled_coeffs(alpha: float, beta: float, nmax: int):
     return g, a, t, 1 / np.sqrt(np.longdouble(jacobi_weight_mass(alpha, beta))), off
 
 
-# The kernel fills blocks of at most _BLOCK_VALUES values (one row at least).
-# Below _CHUNK_VALUES / 16 points it forms the affine rows of 16 degrees or
-# more at once; at more points one at a time, where the row stays in cache.
+# The kernel fills blocks of at most _BLOCK_VALUES values (one row at least)
+# and forms its affine rows in chunks of at most _CHUNK_VALUES values (two
+# rows at least): 16 rows at 1001 points, 8 at 2048 and 2 beyond 8192.  A
+# chunk of 128 KiB in double stays in cache while the steps read it.
 _BLOCK_VALUES = 2**16
 _CHUNK_VALUES = 2**14
 
@@ -143,9 +167,8 @@ def _block_rows(nmax: int, npts: int) -> int:
 
 
 def _chunk_rows(nmax: int, npts: int) -> int:
-    """Affine rows per chunk of _orthonormal_blocks; 1 is per degree."""
-    rows = _CHUNK_VALUES // max(npts, 1)
-    return max(1, min(rows, nmax)) if rows >= 16 else 1
+    """Affine rows per chunk of _orthonormal_blocks."""
+    return max(2, min(nmax, _CHUNK_VALUES // max(npts, 1)))
 
 
 def _orthonormal_blocks(g, a, x: np.ndarray, q0, rows=None):
@@ -153,44 +176,56 @@ def _orthonormal_blocks(g, a, x: np.ndarray, q0, rows=None):
     in blocks of ``rows`` degrees (default _block_rows): yields (k0, block),
     block[i] = q_{k0+i}(x), k0 = 0, rows, 2 rows ...  The one copy of the
     three-term recurrence; arguments are not checked.  It runs in the dtype
-    of x, into which g, a and q0 are rounded once, in two ufunc calls per
-    step: q_{k+1} = r_k q_k - q_{k-1} on the affine row r_k = (x - a_k) g_k.
-    With _chunk_rows = 1 it forms each r_k in two calls with scalars, else
-    that many rows in two broadcast calls, to the same bits.  Every
-    block is a view of one buffer, which keeps a block's last two rows in
-    front of the next: a caller may scale columns of those by a power of
-    two before the next block, and the recurrence follows.
+    of x, in two ufunc calls per step: q_{k+1} = r_k q_k - q_{k-1} on the
+    affine row r_k = -h_k + g_k x, h_k = g_k a_k.  g_k, h_k and q0 are
+    formed in longdouble and rounded once to that dtype.  Each chunk of
+    _chunk_rows affine rows is one matmul of the (rows x 2) block [-h, g]
+    and the (2 x npts) matrix [1; x], zero-padded to full chunks and to two
+    columns at one point.  So in double every product is a BLAS gemm (a
+    single row or column would make it a gemv, which may round otherwise),
+    and a row's bits do not depend on the chunk size or on the other
+    points.  Whether -h_k + g_k x is rounded once (a fused multiply-add, as
+    OpenBLAS does on x86-64) or twice is the BLAS's choice; longdouble runs
+    through numpy's own loop, which rounds g_k x first.
+    Every block is a view of one buffer, which keeps a block's last two
+    rows in front of the next (one-row blocks, beyond 2^15 points, rotate
+    through three rows instead of copying two per degree): a caller may
+    scale columns of those by a power of two before the next block, and
+    the recurrence follows.
     """
     nmax, npts = len(g), x.size
     rows = _block_rows(nmax, npts) if rows is None else rows
     chunk = _chunk_rows(nmax, npts)
-    g, a = g.astype(x.dtype), a.astype(x.dtype)
+    coef = np.zeros((nmax + chunk, 2), dtype=x.dtype)  # [-h_k, g_k], then zero rows
+    coef[:nmax, 0], coef[:nmax, 1] = -(g * a), g
+    ones_x = np.ones((2, max(npts, 2)), dtype=x.dtype)  # [1; x], a second column at one point
+    ones_x[1, :npts] = x
     buf = np.empty((rows + 2 * (rows <= nmax), npts), dtype=x.dtype)
-    aff = np.empty((chunk, npts), dtype=x.dtype)
-    q, r = list(buf), list(aff)
+    aff = np.empty((chunk, ones_x.shape[1]), dtype=x.dtype)
+    q, r = list(buf), [row[:npts] for row in aff]
     mul, sub = np.multiply, np.subtract  # each called with a positional out
     q[0].fill(q0)
-    # buf[lo] holds q_k0, buf[lo-2] and buf[lo-1] the two before; aff r_c0 .. r_{c1-1}
+    # q[lo] holds q_k0, q[lo-2] and q[lo-1] the two before; aff r_c0 .. r_{c1-1}
     lo = k0 = c0 = c1 = 0
     while True:
         hi = lo + min(rows, nmax + 1 - k0)
         for i in range(lo + (k0 == 0), hi):
             k = i - lo + k0 - 1  # q[i] = q_{k+1}
             if k >= c1:
-                c0, c1 = k, min(k + chunk, nmax)
-                if chunk == 1:
-                    mul(sub(x, a[k], r[0]), g[k], r[0])
-                else:
-                    mul(sub(x, a[k:c1, None], aff[: c1 - k]), g[k:c1, None], aff[: c1 - k])
+                c0, c1 = k, k + chunk
+                np.matmul(coef[c0:c1], ones_x, out=aff)
             mul(r[k - c0], q[i - 1], q[i])
             if k:
                 sub(q[i], q[i - 2], q[i])
-        yield k0, buf[lo:hi]
+        yield k0, (q[hi - 1][None] if rows == 1 else buf[lo:hi])
         k0 += hi - lo
         if k0 > nmax:
             return
-        keep = min(hi, 2)
-        buf[2 - keep : 2] = buf[hi - keep : hi]
+        if rows == 1:  # rotate the three row views; nothing is copied
+            q = q[hi - 2 :] + q[: hi - 2]
+        else:
+            keep = min(hi, 2)
+            buf[2 - keep : 2] = buf[hi - keep : hi]
         lo = 2
 
 

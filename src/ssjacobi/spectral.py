@@ -10,7 +10,6 @@ coefficients is skew-symmetric.
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 from dataclasses import dataclass
@@ -29,7 +28,6 @@ __all__ = [
     "differentiate",
     "step_diffusion",
     "step_advection_cayley",
-    "write_norm_series_csv",
 ]
 
 
@@ -243,12 +241,3 @@ def step_advection_cayley(build: DiffMatrixBuild, u: CoeffVector, dt: float) -> 
     solved *= 2.0  # a new array from either route's solve
     solved -= u.coeffs
     return CoeffVector(params=u.params, coeffs=solved)
-
-
-def write_norm_series_csv(path, rows) -> None:
-    """Time series CSV with columns (step, t, l2_norm)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "t", "l2_norm"])
-        for step, t, norm in rows:
-            writer.writerow([step, f"{t:.17g}", f"{norm:.17g}"])

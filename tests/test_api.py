@@ -27,3 +27,7 @@ def test_import_loads_no_scipy_special():
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_only_the_cli_writes_csv():
+    assert not any(hasattr(module, "csv") for module in (specfun, semisep, jacobidiff, spectral))

@@ -390,6 +390,27 @@ class TestDemo:
         assert run(["demo", "oscillation"]) == 2
 
 
+class TestCsvExport:
+    def test_round_trip_17_digits(self, tmp_path):
+        b = jacobidiff.build(JacobiParams(4.0, 2.0), 6, "recurrence")
+        path = tmp_path / "d.csv"
+        cli.write_dense_csv(b, path)
+        with open(path, newline="") as fh:
+            rows = [[float(v) for v in row] for row in csv.reader(fh)]
+        assert np.array_equal(np.array(rows), b.dense())
+
+
+class TestNormSeriesCsv:
+    def test_format(self, tmp_path):
+        path = tmp_path / "series.csv"
+        cli.write_norm_series_csv(path, [(0, 0.0, 1.0), (1, 0.01, 0.5)])
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["step", "t", "l2_norm"]
+        assert rows[1] == ["0", "0", "1"]
+        assert float(rows[2][2]) == 0.5
+
+
 class TestRunConfig:
     def test_jacobi_is_derived_from_alpha_and_beta(self):
         config = cli.RunConfig(command="gen", alpha=3.0, beta=0.5)

@@ -1,6 +1,5 @@
 """Unit tests for the differentiation-matrix construction routes."""
 
-import csv
 import math
 import tracemalloc
 
@@ -21,7 +20,6 @@ from ssjacobi.jacobidiff import (
     kappa_vector,
     oracle_entry,
     oracle_matrix,
-    write_dense_csv,
 )
 from ssjacobi.specfun import DomainError, JacobiParams, gauss_jacobi_rule, jacobi_table
 
@@ -652,13 +650,3 @@ class TestLargeSizeStability:
     def test_generator_vectors_finite(self):
         pair = generators(P22, 2048)
         assert np.all(np.isfinite(pair.a)) and np.all(np.isfinite(pair.b))
-
-
-class TestCsvExport:
-    def test_round_trip_17_digits(self, tmp_path):
-        b = build(P42, 6, "recurrence")
-        path = tmp_path / "d.csv"
-        write_dense_csv(b, path)
-        with open(path, newline="") as fh:
-            rows = [[float(v) for v in row] for row in csv.reader(fh)]
-        assert np.array_equal(np.array(rows), b.dense())

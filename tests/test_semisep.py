@@ -669,6 +669,20 @@ class TestShiftedSolver:
         with pytest.raises(SingularityError):
             ShiftedSolver(SemiSepGenerators.diagonal(np.zeros(3)), 0.0)
 
+    @pytest.mark.parametrize("s", [0.1, -1.0])  # without and with row interchanges
+    def test_checks_rhs_once(self, s, monkeypatch):
+        # solve checks rhs and hands its row transform, a double array of
+        # shape (n,), to the band's unchecked solve, which gives the bits
+        # of the public one.
+        solver = ShiftedSolver(scale(jacobidiff.generators(JacobiParams(2.3, 4.1), 64), s), 1.0)
+        rhs = np.random.default_rng(23).standard_normal(64)
+        z = semisep._row_transform(solver.row_coeffs, rhs)
+        assert np.array_equal(solver.band._solve(z), solver.band.solve(z))
+        expected = solver.solve(rhs)
+        checked, as_vector = [], semisep._as_vector
+        monkeypatch.setattr(semisep, "_as_vector", lambda *args: checked.append(args) or as_vector(*args))
+        assert np.array_equal(solver.solve(rhs), expected) and len(checked) == 1
+
 
 class TestSkewReduction:
     """The congruence C^T (I + sD) C = B0 + s B1 of a skew pair D."""

@@ -3,6 +3,7 @@
 import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -121,28 +122,51 @@ class TestRecurrenceKernel:
             assert np.array_equal(np.vstack(blocks), table)
             assert list(starts) == list(range(0, nmax + 1, size or 65))
 
-    @pytest.mark.parametrize("npts", [1, 7, 128, 1001])
+    def test_one_row_blocks_rotate_through_three_rows(self):
+        g, a, _, p0, _ = specfun._rescaled_coeffs(2.3, 4.1, 10)
+        rows = [block.ctypes.data for _, block in specfun._orthonormal_blocks(g, a, self.X, p0, 1)]
+        assert len(set(rows)) == 3 and rows[3:] == rows[:-3]
+
+    @pytest.mark.parametrize("npts", [1, 7, 128, 1001, 2048])
     @pytest.mark.parametrize("dtype", [float, np.longdouble])
-    def test_per_degree_and_chunked_affine_rows_are_the_same_bits(self, monkeypatch, npts, dtype):
-        # Affine rows formed one degree at a time (scalar coefficients) or
-        # in chunks of 16, 17, 200 degrees and the default (broadcasts).
+    def test_affine_rows_are_the_same_bits_in_every_chunk(self, monkeypatch, npts, dtype):
+        # Affine rows formed in chunks of 2 (the fewest), 16, 17 and 200
+        # degrees and the default: each chunk is one product of the same
+        # shape, which rounds every entry alike.  Of 201 degrees, chunks
+        # of 2 and of 200 leave one in the last chunk.
         x = np.linspace(-0.999, 0.999, npts).astype(dtype)
         monkeypatch.setattr(specfun, "_CHUNK_VALUES", 0)
-        assert specfun._chunk_rows(200, npts) == 1
-        per_degree = self.blocks(0.5, 12.0, 200, x)
+        assert specfun._chunk_rows(201, npts) == 2
+        fewest = self.blocks(0.5, 12.0, 201, x)
         for values in (16 * npts, 17 * npts, 200 * npts, 2**14):
             monkeypatch.setattr(specfun, "_CHUNK_VALUES", values)
-            chunked = self.blocks(0.5, 12.0, 200, x)
-            assert [k0 for k0, _ in chunked] == [k0 for k0, _ in per_degree]
-            assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(chunked, per_degree))
+            chunked = self.blocks(0.5, 12.0, 201, x)
+            assert [k0 for k0, _ in chunked] == [k0 for k0, _ in fewest]
+            assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(chunked, fewest))
+
+    @pytest.mark.parametrize("dtype", [float, np.longdouble])
+    def test_a_point_alone_has_its_bits_among_others(self, dtype):
+        # One point is padded to a second column, so that its product is a
+        # gemm, as at many points, and not a gemv.
+        x = np.linspace(-0.999, 0.999, 7).astype(dtype)
+        [(_, table)] = self.blocks(0.5, 12.0, 200, x, 201)
+        for i in (0, 3, 6):
+            [(_, alone)] = self.blocks(0.5, 12.0, 200, x[i : i + 1], 201)
+            assert np.array_equal(alone[:, 0], table[:, i])
 
     def test_chunks_stay_within_the_chunk_values(self):
+        # Two rows at least: a one-row product is a BLAS gemv, which may
+        # round otherwise than the gemm of every larger chunk.
         assert specfun._CHUNK_VALUES <= specfun._BLOCK_VALUES
         assert specfun._chunk_rows(1023, 128) == 128
         assert specfun._chunk_rows(1023, 1001) == 16
-        assert specfun._chunk_rows(1023, 1025) == 1
+        assert specfun._chunk_rows(1023, 1025) == 15
+        assert specfun._chunk_rows(1023, 2048) == 8
+        assert specfun._chunk_rows(1023, 2**14) == 2
+        assert specfun._chunk_rows(1023, 2**17) == 2
         assert specfun._chunk_rows(10, 128) == 10
-        assert specfun._chunk_rows(0, 128) == 1
+        assert specfun._chunk_rows(1, 128) == 2
+        assert specfun._chunk_rows(0, 128) == 2
 
     @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
     def test_coefficients_are_formed_in_longdouble_and_rounded_once(self, dtype):
@@ -153,14 +177,67 @@ class TestRecurrenceKernel:
         assert np.array_equal(b, off) and not b.flags.writeable
         assert t[0] == t[1] == 1 and np.array_equal(t[2:], t[:-2] * off[:-1] / off[1:])
         assert np.array_equal(g, t[:-1] / (off * t[1:])) and np.array_equal(a, diag[:-1])
-        # The rows the kernel gives are those of the rounded coefficients.
+        # The rows the kernel gives are those of the rounded coefficients:
+        # r_k = -h_k + g_k x with h_k = g_k a_k rounded once from longdouble.
+        # The double product is a BLAS one, which may fuse the multiply-add
+        # (one rounding) or not; numpy's longdouble loop rounds g_k x first.
         x = self.X.astype(dtype)
-        gd, ad = g.astype(dtype), a.astype(dtype)
+        gd, hd = g.astype(dtype), (g * a).astype(dtype)
         [(_, table)] = self.blocks(2.3, 4.1, 5, x, 6)
         assert table.dtype == dtype and np.all(table[0] == dtype(p0))
         for k in range(5):
             prev = table[k - 1] if k else 0
-            assert np.array_equal(table[k + 1], (x - ad[k]) * gd[k] * table[k] - prev)
+            unfused = gd[k] * x - hd[k]
+            rows = [unfused * table[k] - prev]
+            if dtype == np.float64:
+                fused = np.array([float(Fraction(gd[k]) * Fraction(v) - Fraction(hd[k])) for v in x])
+                rows.append(fused * table[k] - prev)
+            assert any(np.array_equal(table[k + 1], row) for row in rows)
+
+    @pytest.mark.parametrize("alpha,beta", [(2.3, 4.1), (0.5, 8.0)])
+    def test_double_rows_at_the_transform_size(self, alpha, beta):
+        # p_0 .. p_1023 at 2048 points, the size of an N = 1024 expansion,
+        # against the longdouble kernel at the same points: 1.4e-13 and
+        # 8.7e-14 of the largest entry were measured with OpenBLAS's fused
+        # products, 1.05e-13 and 7.5e-14 with two broadcast passes per row.
+        x = np.linspace(-0.999, 0.999, 2048)
+        got = specfun._orthonormal_table(alpha, beta, 1023, x)
+        ref = specfun._orthonormal_table(alpha, beta, 1023, x.astype(np.longdouble))
+        assert np.abs(got - ref).max() <= 3e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("alpha,beta", [(2.3, 4.1), (-0.9, 1.0), (1000.0, 0.5), (0.001, 30.0), (12.1, 1.3)])
+    def test_coefficients_at_a_smaller_size_are_a_prefix(self, alpha, beta):
+        big = specfun._form_rescaled_coeffs(alpha, beta, 2048)
+        for n in (1, 2, 3, 63, 64, 128, 1023):
+            g, a, t, p0, b = specfun._form_rescaled_coeffs(alpha, beta, n)
+            assert p0 == big[3]
+            for small, large in ((g, big[0]), (a, big[1]), (t, big[2]), (b, big[4])):
+                assert np.array_equal(small, large[: len(small)])
+
+    def test_smaller_sizes_are_served_from_the_kept_coefficients(self, monkeypatch):
+        formed = []
+
+        def counted(alpha, beta, nmax):
+            formed.append((alpha, beta, nmax))
+            return form(alpha, beta, nmax)
+
+        form = specfun._form_rescaled_coeffs
+        monkeypatch.setattr(specfun, "_coeff_cache", {})
+        monkeypatch.setattr(specfun, "_form_rescaled_coeffs", counted)
+        first = specfun._rescaled_coeffs(2.3, 4.1, 128)
+        served = specfun._rescaled_coeffs(2.3, 4.1, 63)
+        assert formed == [(2.3, 4.1, 128)]
+        for got, ref in zip(served, form(2.3, 4.1, 63)):
+            assert np.array_equal(got, ref)
+        assert served[0].base is first[0].base and not any(v.flags.writeable for v in served[:3])
+        specfun._rescaled_coeffs(2.3, 4.1, 200)  # a larger size replaces the kept one
+        specfun._rescaled_coeffs(2.3, 4.1, 128)
+        assert formed == [(2.3, 4.1, 128), (2.3, 4.1, 200)]
+        for beta in range(1, 9):  # eight more pairs push (2.3, 4.1) out
+            specfun._rescaled_coeffs(2.3, float(beta), 10)
+        assert len(specfun._coeff_cache) == specfun._COEFF_CACHE_SIZE == 8
+        specfun._rescaled_coeffs(2.3, 4.1, 63)
+        assert formed[-1] == (2.3, 4.1, 63)
 
     @pytest.mark.parametrize("alpha", [-0.9, 0.001, 2.3, 100.0, 1000.0])
     def test_scales_stay_bounded(self, alpha):
@@ -440,9 +517,9 @@ class TestGaussJacobiRule:
 class TestDoubleGaussJacobiRule:
     # Part of a 350-rule grid (alpha in {0.001, 0.5, 2.3, 12.1, 30, 100,
     # 300}, beta in {0.001, 1, 4.1, 150, 300}, Q in {1, 2, 3, 5, 12, 64,
-    # 128, 257, 1024, 2048}) on which the double nodes were within 1.1e-16
-    # of the longdouble nodes and the weights within 1.9e-12 of the largest
-    # weight.  Without its rescaling the double sweep overflowed on 28 of
+    # 128, 257, 1024, 2048}) on which the double nodes were within 1.46e-16
+    # of the longdouble nodes, at (2.3, 300, 2), and the weights within
+    # 2.0e-12 of the largest weight.  Without its rescaling the double sweep overflowed on 28 of
     # the 350.
     @pytest.mark.parametrize("alpha", [0.001, 2.3, 30.0, 300.0])
     @pytest.mark.parametrize("beta", [0.001, 4.1, 150.0])
@@ -482,7 +559,7 @@ class TestDoubleGaussJacobiRule:
 
     @pytest.mark.parametrize("alpha,beta", [(2.0, 2.0), (1.0, 6.0)])
     def test_gram_orthonormality_at_2048(self, alpha, beta):
-        # 7.5e-14 and 7.9e-14 were measured here; the bound is 9.5 times
+        # 7.5e-14 and 7.7e-14 were measured here; the bound is 9.7 times
         # the larger.
         q = 2048
         rule = gauss_jacobi_rule(alpha, beta, q, dtype=np.float64)

@@ -1,6 +1,5 @@
 """Unit tests for basis evaluation, the coefficient map and the steppers."""
 
-import csv
 import math
 import tracemalloc
 
@@ -17,7 +16,6 @@ from ssjacobi.spectral import (
     step_advection_cayley,
     step_diffusion,
     wfun_table,
-    write_norm_series_csv,
 )
 from ssjacobi.specfun import (
     ConvergenceError,
@@ -167,7 +165,7 @@ class TestExpand:
     def test_double_rule_matches_the_extended_table_product(self, alpha, beta, n_size):
         # The double rule and double rows against the longdouble rule and
         # table; at most 4.1e-15 of max |c| was measured at N = 1024, and
-        # 8.6e-15 at (2.3, 300, 1200).
+        # 9.5e-15 at (2.3, 300, 1200).
         params = JacobiParams(alpha, beta)
         ha, hb = alpha / 2 + 1, beta / 2 + 1
 
@@ -332,7 +330,7 @@ class TestReconstruct:
         finally:
             tracemalloc.stop()
         # One N x len(x) double table alone would be 16 MB; the kernel's
-        # buffer of 67 rows is 0.54 MB (0.74 MB peak in all).
+        # buffer of 67 rows is 0.54 MB (0.91 MB peak in all).
         assert peak <= 2**20
 
     def test_zero_at_the_ends_and_raises_where_the_sum_overflows(self):
@@ -539,7 +537,7 @@ class TestSolveTraffic:
         """Every band solve of the steppers' three shifts at N = 16384,
         dt = 1e-3, is two unit-diagonal tbsv sweeps and no gbtrs."""
         sweeps, gbtrs, per_solve = [], [], []
-        tbsv, band_solve = semisep.dtbsv, semisep.BandedMatrix.solve
+        tbsv, band_solve = semisep.dtbsv, semisep.BandedMatrix._solve
 
         def dtbsv(*args):
             sweeps.append(args[7])  # diag, passed positionally
@@ -553,7 +551,7 @@ class TestSolveTraffic:
 
         monkeypatch.setattr(semisep, "dtbsv", dtbsv)
         monkeypatch.setattr(semisep, "dgbtrs", lambda *args: gbtrs.append(args))
-        monkeypatch.setattr(semisep.BandedMatrix, "solve", counted_solve)
+        monkeypatch.setattr(semisep.BandedMatrix, "_solve", counted_solve)
         params = JacobiParams(alpha, beta)
         b = jacobidiff.build(params, 16384, "generators")
         coeffs = np.random.default_rng(9).standard_normal(16384) * np.exp(-np.arange(16384) / 2000)
@@ -574,14 +572,3 @@ class TestCoeffVector:
             CoeffVector(params=P22, coeffs=np.array([np.inf, 0.0]))
         with pytest.raises(ValueError):
             CoeffVector(params=P22, coeffs=np.zeros((2, 2)))
-
-
-class TestNormSeriesCsv:
-    def test_format(self, tmp_path):
-        path = tmp_path / "series.csv"
-        write_norm_series_csv(path, [(0, 0.0, 1.0), (1, 0.01, 0.5)])
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["step", "t", "l2_norm"]
-        assert rows[1] == ["0", "0", "1"]
-        assert float(rows[2][2]) == 0.5
