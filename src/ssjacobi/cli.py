@@ -241,24 +241,25 @@ def _rank1_product_error(n: int, rng) -> float:
     product, over PRODUCT_CHECK_PAIRS random rank-1 pairs.
 
     The pairs are drawn as ``_random_generators(n, 1, rng)`` draws them,
-    first factor then second, and are multiplied in stacks of at most
-    PRODUCT_CHECK_ENTRIES dense entries per matrix (at least one pair)
-    through the block-level product and dense expansion.  The product's
-    extended-precision blocks are rounded to double before their dense
-    form, so every N x N array of the check is double; against the
-    extended-precision dense form that moves the error by about 1e-15,
-    far below the check's tolerance of 1e-12.
+    first factor then second, and multiplied by one call of the
+    block-level product: its blocks are O(PRODUCT_CHECK_PAIRS N).  Only
+    the dense forms and products are formed in stacks of at most
+    PRODUCT_CHECK_ENTRIES entries per matrix (at least one pair).  The
+    product's extended-precision blocks are rounded to double before
+    their dense form, so every N x N array of the check is double;
+    against the extended-precision dense form that moves the error by
+    about 1e-15, far below the check's tolerance of 1e-12.
     """
+    # Per pair: a, b, c, d, e of the first factor, then of the second.
+    draws = rng.standard_normal((PRODUCT_CHECK_PAIRS, 2, 5, n))
+    A, B = ((f[:, 0:1], f[:, 1:2], f[:, 2], f[:, 3:4], f[:, 4:5]) for f in draws.swapaxes(0, 1))
+    prod = tuple(v.astype(float) for v in semisep.product_blocks(A, B))
     per_chunk = max(1, PRODUCT_CHECK_ENTRIES // (n * n))
     errs = []
     for start in range(0, PRODUCT_CHECK_PAIRS, per_chunk):
-        k = min(per_chunk, PRODUCT_CHECK_PAIRS - start)
-        # Per pair: a, b, c, d, e of the first factor, then of the second.
-        draws = rng.standard_normal((k, 2, 5, n))
-        A, B = ((f[:, 0:1], f[:, 1:2], f[:, 2], f[:, 3:4], f[:, 4:5]) for f in draws.swapaxes(0, 1))
-        dp = semisep.dense_blocks(A) @ semisep.dense_blocks(B)
-        prod = tuple(v.astype(float) for v in semisep.product_blocks(A, B))
-        err = np.abs(semisep.dense_blocks(prod) - dp).max(axis=(-2, -1))
+        a, b, p = (tuple(v[start : start + per_chunk] for v in blocks) for blocks in (A, B, prod))
+        dp = semisep.dense_blocks(a) @ semisep.dense_blocks(b)
+        err = np.abs(semisep.dense_blocks(p) - dp).max(axis=(-2, -1))
         errs.append(err / np.maximum(np.abs(dp).max(axis=(-2, -1)), 1e-30))
     return float(np.concatenate(errs).max())
 

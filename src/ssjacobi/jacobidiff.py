@@ -133,12 +133,12 @@ def dtilde_lower_triangle(params: JacobiParams, n_size: int) -> np.ndarray:
             lo, hi = n + 2, top - 1
             if lo > hi:
                 break
-            m = np.arange(lo, hi + 1)
+            m = slice(lo, hi + 1)
             nxt = np.zeros(mmax + 2, dtype=np.longdouble)
             nxt[m] = (
-                cc[m] * cur[m - 1]
+                cc[m] * cur[lo - 1 : hi]
                 + (dd[m] - dd[n]) * cur[m]
-                + ee[m] * cur[m + 1]
+                + ee[m] * cur[lo + 1 : hi + 2]
                 - cc[n] * prev[m]
             ) / ee[n]
             col = n + 1
@@ -248,9 +248,68 @@ def oracle_matrix(params: JacobiParams, n_size: int) -> np.ndarray:
     if n_size < 1:
         raise DomainError(f"size must be >= 1, got {n_size}")
     table, weights = _oracle_table(params, n_size - 1)
-    # The Gram is summed in longdouble: its sums cancel heavily near the diagonal.
-    gram = ((table * weights) @ table.T).astype(float)
-    return _skew(np.tril(gram, -1))
+    return _skew(np.tril(_oracle_gram(table, weights).astype(float), -1))
+
+
+def _split_rows(factor: np.ndarray, bits: int):
+    """The longdouble factor as lead + rest in double.  Row i of lead is
+    row i of hi, the factor rounded to double, rounded to the grid
+    2^(r_i - bits), where 2^r_i bounds that row of hi: each entry is k
+    times the grid with |k| <= 2^bits.  rest is hi - lead (exact) plus
+    factor - hi, rounded once: at most half the grid and at most |hi|,
+    to rounding."""
+    hi = factor.astype(float)
+    lo = (factor - hi).astype(float)
+    # Adding and subtracting 1.5 * 2^(52 + r_i - bits) rounds a double
+    # below 2^r_i to the grid.
+    sigma = np.ldexp(1.5, np.frexp(np.abs(hi).max(axis=1))[1] + (52 - bits))[:, None]
+    lead = (hi + sigma) - sigma
+    hi -= lead
+    hi += lo
+    return lead, hi
+
+
+def _oracle_gram(table: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The Gram (table * weights) @ table.T of the oracle, in longdouble,
+    from three double products (BLAS dgemm).
+
+    Its sums cancel heavily near the diagonal, so they need more than
+    double precision; the longdouble matmul that gives it directly has no
+    BLAS.  This is an error-free split of the matrix product (Ozaki,
+    Ogita, Oishi and Rump, Numer. Algorithms 59, 2012), cut after the
+    leading slices:
+
+    * Column j of table * weights is scaled by 2^-s_j and of table by
+      2^s_j, with 2^s_j near sqrt|weights_j|: every product is unchanged,
+      and the entries of both factors are O(1) (row maxima from 0.05 to
+      27 were measured over alpha, beta in [0.001, 1000] and N <= 256).
+    * Each factor is split by rows into lead + rest (``_split_rows``),
+      lead on a grid of 2^-bits of its row's scale, bits =
+      floor((53 - ceil(log2 N)) / 2).  A product of two lead entries is
+      an integer multiple of the product of the two grids, at most
+      2^(2 bits) of them, so lead_a @ lead_b.T and every partial sum of
+      it are exact in double.
+    * The rest, lead_a @ rest_b.T + rest_a @ (lead_b + rest_b).T, is at
+      most 2^-bits of the row scales, so its double rounding errs by about
+      2N 2^(-53 - bits) of them.  The one term left out, the product of
+      the two longdouble remainders factor - hi, is 2^-106 of the sum of
+      |terms|.
+
+    The exact product and the rest are added in longdouble.  The tests
+    hold the result within 4 N 2^-64 sum_j |table_mj weights_j table_nj|
+    of the longdouble matmul, that matmul's own worst-case error.
+    """
+    n = table.shape[0]
+    bits = (53 - (n - 1).bit_length()) // 2
+    s = np.frexp(weights)[1] // 2
+    lead_a, rest_a = _split_rows(table * np.ldexp(weights, -s), bits)
+    lead_b, rest_b = _split_rows(table * np.ldexp(np.longdouble(1), s), bits)
+    gram = (lead_a @ lead_b.T).astype(np.longdouble)
+    rest = lead_a @ rest_b.T
+    lead_b += rest_b  # the double rounding of table * 2^s, as far as the rest needs
+    rest += rest_a @ lead_b.T
+    gram += rest
+    return gram
 
 
 def _skew(lower: np.ndarray) -> np.ndarray:

@@ -220,15 +220,25 @@ def dense_blocks(blocks: tuple) -> np.ndarray:
 
     The blocks may carry the same leading axes, (..., r, n) and (..., n)
     for c; the result is then the stack (..., n, n) of their dense forms.
-    One select on the strict upper triangle picks each entry from its
-    product, which is triu(a^T b, 1) + tril(d^T e, -1) up to the sign of
-    a zero.
+    The upper product is written over the strict upper triangle of the
+    lower one, in the dtype of the two products together, and then
+    rounded to c's dtype: triu(a^T b, 1) + tril(d^T e, -1) up to the sign
+    of a zero.  At rank 1 each product is a broadcast multiply, with the
+    same roundings: numpy's matmul does not call BLAS at an inner
+    dimension of 1, and there it is several times slower.
     """
     a, b, c, d, e = blocks
     n = c.shape[-1]
     _refuse_dense(n)
-    upper = np.arange(n)[:, None] < np.arange(n)
-    dense = np.where(upper, np.swapaxes(a, -1, -2) @ b, np.swapaxes(d, -1, -2) @ e)
+
+    def product(x, y):
+        xt = np.swapaxes(x, -1, -2)
+        return xt * y if x.shape[-2] == 1 else xt @ y
+
+    upper = product(a, b)
+    dense = product(d, e)
+    dense = dense.astype(np.result_type(dense, upper), copy=False)
+    np.copyto(dense, upper, where=np.arange(n)[:, None] < np.arange(n))
     dense = dense.astype(c.dtype, copy=False)  # the diagonal's dtype, as np.diag(c)
     i = np.arange(n)
     dense[..., i, i] = c
@@ -302,20 +312,31 @@ def _unit_factors(lu: np.ndarray, p: int, q: int) -> tuple[np.ndarray, np.ndarra
     and upper[q+i-j, j] = U^[i, j], in the storage that tbsv reads.
     Row 0 of lower holds D^-1 and row q of upper holds D: unit sweeps
     read neither.  Raises ``SingularityError``, naming the column, if a
-    pivot's reciprocal or a ratio of pivots overflows."""
+    pivot's reciprocal or a ratio of pivots overflows.
+
+    Each row of both bands is written once, straight from lu, and the two
+    bands are Fortran-ordered views of one buffer, which one pass checks
+    for non-finite entries.  Band storage outside the matrix is copied
+    as it is."""
     n = lu.shape[1]
-    lower = np.array(lu[p + q :], order="F")   # copies; row 0 is U's diagonal D
-    upper = np.array(lu[p : p + q + 1], order="F")
-    d = upper[q]
+    d = lu[p + q]
+    buf = np.empty((p + q + 2) * n)
+    lower = buf[: (p + 1) * n].reshape((p + 1, n), order="F")
+    upper = buf[(p + 1) * n :].reshape((q + 1, n), order="F")
+    # The corners that hold the storage outside the matrix; the loops below
+    # overwrite the entries inside it.
+    lower[1:, n - min(p, n) :] = lu[p + q + 1 :, n - min(p, n) :]
+    upper[:q, : min(q, n)] = lu[p : p + q, : min(q, n)]
+    upper[q] = d
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # checked below
         np.divide(1.0, d, out=lower[0])
         for k in range(1, p + 1):              # L~[j+k, j] = L[j+k, j] (d[j] / d[j+k])
             m = max(n - k, 0)
-            lower[k, :m] *= d[:m] / d[n - m :]
+            np.multiply(lu[p + q + k, :m], d[:m] / d[n - m :], out=lower[k, :m])
         for k in range(1, q + 1):              # U^[j-k, j] = U[j-k, j] / d[j-k]
             m = max(n - k, 0)
-            upper[q - k, n - m :] /= d[:m]
-    if not (np.isfinite(lower).all() and np.isfinite(upper).all()):
+            np.divide(lu[p + q - k, n - m :], d[:m], out=upper[q - k, n - m :])
+    if not np.isfinite(buf).all():
         # Name the first reciprocal that overflows, else the first ratio.
         for what, rows in (("reciprocal", lower[:1]), ("ratio", np.vstack([lower, upper]))):
             finite = np.isfinite(rows).all(axis=0)

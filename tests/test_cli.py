@@ -246,19 +246,17 @@ def reference_product_error(n, rng, rounded=True):
     return prod_err
 
 
-def recording_product_blocks(monkeypatch, n, plant=None):
+def recording_product_blocks(monkeypatch, plant=None):
     """Record the stacks of pairs passed to ``product_blocks``; ``plant(c)``
-    may change the product diagonal of the last pair of the last stack."""
+    may change the product diagonal of the last pair of each stack."""
     real = semisep.product_blocks
     stacks = []
-    per_chunk = max(1, cli.PRODUCT_CHECK_ENTRIES // n**2)
-    chunks = -(-cli.PRODUCT_CHECK_PAIRS // per_chunk)
 
     def wrapped(A, B):
         out = real(A, B)
         if np.ndim(A[2]) == 2:  # a stack of pairs, not verify's D D
             stacks.append((A, B))
-            if plant is not None and len(stacks) == chunks:
+            if plant is not None:
                 plant(out[2][-1])
         return out
 
@@ -274,13 +272,14 @@ def last_pair_scale(stacks):
 
 
 class TestRank1ProductCheck:
-    """verify's rank-1 product check runs its pairs in stacks."""
+    """verify's rank-1 product check multiplies all its pairs in one
+    stack, and forms their dense products in bounded stacks."""
 
-    @pytest.mark.parametrize("n,sizes", [(3, [20]), (48, [7, 7, 6]), (128, [1] * 20)])
-    def test_stacks_match_the_pair_by_pair_loop(self, n, sizes, monkeypatch):
-        stacks = recording_product_blocks(monkeypatch, n)
+    @pytest.mark.parametrize("n", [3, 48, 64, 128])
+    def test_stacks_match_the_pair_by_pair_loop(self, n, monkeypatch):
+        stacks = recording_product_blocks(monkeypatch)
         got = cli._rank1_product_error(n, np.random.default_rng(5))
-        assert [len(A[2]) for A, _ in stacks] == sizes
+        assert [len(A[2]) for A, _ in stacks] == [cli.PRODUCT_CHECK_PAIRS]
         assert got == reference_product_error(n, np.random.default_rng(5))
 
     @pytest.mark.parametrize("n", [3, 48, 128])
@@ -311,7 +310,7 @@ class TestRank1ProductCheck:
         assert rng.standard_normal() == ref.standard_normal()
 
     def run_planted(self, plant, monkeypatch, tmp_path):
-        stacks = recording_product_blocks(monkeypatch, 48, plant)
+        stacks = recording_product_blocks(monkeypatch, plant)
         out = tmp_path / "report.json"
         code = run(["verify", "--n", "48", "--seed", "3", "--out", str(out)])
         return code, json.loads(out.read_text())["checks"], stacks

@@ -340,6 +340,21 @@ class TestOracle:
             err = np.abs(dense - ref)[finite].max(initial=0.0)
             assert err <= 1e-13 * np.abs(ref[finite]).max(initial=0.0), (a, b)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 32, 128, 512])
+    @pytest.mark.parametrize("a,b", [(3.0, 5.0), (0.5, 12.0), (12.0, 0.5), (12.0, 12.0),
+                                     (0.5, 0.5), (0.001, 150.0), (150.0, 0.001), (500.0, 0.001)])
+    def test_blas_gram_is_within_the_longdouble_grams_own_error(self, a, b, n):
+        """The Gram on dgemm is within 4 N 2^-64 sum_j |T_mj W_j T_nj| of
+        the longdouble matmul, that matmul's worst-case error, and finite
+        in double wherever the matmul is."""
+        table, weights = jacobidiff._oracle_table(JacobiParams(a, b), n - 1)
+        ref = (table * weights) @ table.T
+        got = jacobidiff._oracle_gram(table, weights)
+        assert got.dtype == np.longdouble
+        terms = np.abs(table * weights).astype(float) @ np.abs(table).astype(float).T
+        assert np.all(np.abs(got - ref) <= 4 * n * 2.0**-64 * terms)
+        assert np.isfinite(got.astype(float))[np.isfinite(ref.astype(float))].all()
+
     def test_one_rule_and_one_table_per_call(self, monkeypatch):
         calls = []
 
@@ -467,7 +482,7 @@ class TestBuild:
                 lower_packed = kvec[rows] * kvec[cols] * dtilde[rows, cols]
             else:  # the Gram of the orthonormal rows
                 table, weights = jacobidiff._oracle_table(params, n - 1)
-                lower_packed = ((table * weights) @ table.T).astype(float)[rows, cols]
+                lower_packed = jacobidiff._oracle_gram(table, weights).astype(float)[rows, cols]
             dense = np.zeros((n, n))
             dense[rows, cols] = lower_packed
             dense = dense - dense.T

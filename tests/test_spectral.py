@@ -180,6 +180,23 @@ class TestExpand:
         ref = (kappa_vector(params, n_size - 1) * (table @ (rule.weights * ratio))).astype(float)
         assert np.abs(got - ref).max() <= 2e-14 * np.abs(ref).max()
 
+    def test_one_row_blocks_add_as_the_row_product_did(self):
+        """Beyond 2^15 points the kernel yields one-row blocks, which are
+        added as an axpy: bit for bit what a (1,) @ (1, n) product gave."""
+        x = np.linspace(-1.0, 1.0, 2**15 + 1)
+        u = CoeffVector(params=P42, coeffs=np.random.default_rng(4).standard_normal(24))
+        t, blocks = specfun._orthonormal_rows(4.0, 2.0, u.n - 1, x)
+        scaled = u.coeffs * t
+        ref = np.zeros_like(x)
+        rows = []
+        for k0, block in blocks:
+            rows.append(len(block))
+            ref += scaled[k0 : k0 + len(block)] @ block
+        ref *= spectral._sqrt_weight(P42, x)
+        ref[np.abs(x) == 1.0] = 0.0
+        assert set(rows) == {1}
+        assert np.array_equal(reconstruct(u, x), ref)
+
     def test_memory_is_linear_in_the_sizes(self):
         f = lambda x: (1.0 - x * x) ** 2 * np.sin(3.0 * x)
         expand(P22, f, 8)
@@ -318,6 +335,23 @@ class TestReconstruct:
         terms = u.coeffs[:, None] * wfun_table(params, n - 1, x)
         scale_ = np.abs(terms).sum(axis=0).max()
         assert np.abs(reconstruct(u, x) - terms.sum(axis=0)).max() <= 1e-14 * scale_
+
+    def test_one_row_blocks_add_as_the_row_product_did(self):
+        """Beyond 2^15 points the kernel yields one-row blocks, which are
+        added as an axpy: bit for bit what a (1,) @ (1, n) product gave."""
+        x = np.linspace(-1.0, 1.0, 2**15 + 1)
+        u = CoeffVector(params=P42, coeffs=np.random.default_rng(4).standard_normal(24))
+        t, blocks = specfun._orthonormal_rows(4.0, 2.0, u.n - 1, x)
+        scaled = u.coeffs * t
+        ref = np.zeros_like(x)
+        rows = []
+        for k0, block in blocks:
+            rows.append(len(block))
+            ref += scaled[k0 : k0 + len(block)] @ block
+        ref *= spectral._sqrt_weight(P42, x)
+        ref[np.abs(x) == 1.0] = 0.0
+        assert set(rows) == {1}
+        assert np.array_equal(reconstruct(u, x), ref)
 
     def test_memory_is_linear_in_the_sizes(self):
         x = np.linspace(-1.0, 1.0, 1001)
